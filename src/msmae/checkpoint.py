@@ -50,10 +50,7 @@ def _pack_record(name, arr):
 
 
 def _pack_table(items):
-    body = struct.pack("<I", len(items))
-    for name, arr in items:
-        body += _pack_record(name, arr)
-    return body
+    return [struct.pack("<I", len(items))] + [_pack_record(name, arr) for name, arr in items]
 
 
 class _Cursor:
@@ -109,30 +106,28 @@ def save_checkpoint(path, config, params, optimizer=None, aux=None):
     "v": {name: arr}} with float32 arrays matching the parameter shapes.
     aux is a free name->float32-array table (classifier heads and such).
     """
-    blob = MAGIC + struct.pack("<H", VERSION)
     text = config.to_text().encode("utf-8")
-    blob += struct.pack("<I", len(text)) + text
+    parts = [MAGIC, struct.pack("<H", VERSION), struct.pack("<I", len(text)), text]
     names = list(param_shapes(config))
     missing = [n for n in names if n not in params]
     if missing:
         raise ContractError(f"params missing {missing[:3]} for this config")
-    blob += _pack_table([(n, params[n].data) for n in names])
+    parts += _pack_table([(n, params[n].data) for n in names])
     if optimizer is None:
-        blob += struct.pack("<B", 0)
+        parts.append(struct.pack("<B", 0))
     else:
-        blob += struct.pack("<B", 1)
-        blob += struct.pack("<Q", int(optimizer["step"]))
-        blob += struct.pack("<Q", int(optimizer["epoch"]))
-        blob += _pack_table([(n, optimizer["m"][n]) for n in names])
-        blob += _pack_table([(n, optimizer["v"][n]) for n in names])
+        parts.append(struct.pack("<BQQ", 1, int(optimizer["step"]), int(optimizer["epoch"])))
+        parts += _pack_table([(n, optimizer["m"][n]) for n in names])
+        parts += _pack_table([(n, optimizer["v"][n]) for n in names])
     if aux is None:
-        blob += struct.pack("<B", 0)
+        parts.append(struct.pack("<B", 0))
     else:
         arrs = {n: (np.asarray(a) if isinstance(a, np.ndarray) else a.data) for n, a in aux.items()}
-        blob += struct.pack("<B", 1) + _pack_table(sorted(arrs.items()))
+        parts.append(struct.pack("<B", 1))
+        parts += _pack_table(sorted(arrs.items()))
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        fh.write(blob)
+        fh.write(b"".join(parts))
     os.replace(tmp, path)
 
 

@@ -58,8 +58,6 @@ def _run_config(args, rest):
     rc = load_run_config(args.config, overrides)
     if getattr(args, "seed", None) is not None:
         rc.seed = args.seed
-    if getattr(args, "threads", None) is not None:
-        rc.threads = args.threads
     if getattr(args, "test_mode", False):
         rc.test_mode = True
     return rc
@@ -123,8 +121,8 @@ def cmd_probe(args, rest):
     rc.data.num_points = model.config.num_points
     train_recs, val_recs = make_dataset(rc.data)
     _log(f"extracting features for {len(train_recs)} train / {len(val_recs)} val clouds")
-    train_feats = extract_features(model, train_recs, threads=rc.threads)
-    val_feats = extract_features(model, val_recs, threads=rc.threads)
+    train_feats = extract_features(model, train_recs)
+    val_feats = extract_features(model, val_recs)
     e = rc.eval
     res = linear_probe(train_feats, np.array([r.label for r in train_recs]),
                        val_feats, np.array([r.label for r in val_recs]),
@@ -152,7 +150,7 @@ def cmd_fewshot(args, rest):
     train_recs, val_recs = make_dataset(rc.data)
     records = sorted(train_recs + val_recs, key=lambda r: r.id)  # episode pool
     _log(f"extracting features for {len(records)} clouds")
-    feats = extract_features(model, records, threads=rc.threads)
+    feats = extract_features(model, records)
     labels = np.array([r.label for r in records])
     e = rc.eval
     out = few_shot_eval(feats, labels, way=e.way, shot=e.shot, runs=e.runs,
@@ -251,7 +249,6 @@ def _build_parser():
         p.add_argument("--config", default=None,
                        help="profile name (desk, paper) or INI path")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--test-mode", action="store_true", dest="test_mode",
                        help="zero timing fields so outputs diff clean")
         p.add_argument("--out", required=out_required, default=None,

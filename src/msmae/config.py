@@ -1,7 +1,7 @@
 """Run configuration: INI sections, dotted-key overrides, resolved snapshots.
 
 A run is described by five sections (model, masking, training, data, eval)
-plus an optional [run] section for seed/threads/test_mode defaults. Files
+plus an optional [run] section for seed/test_mode defaults. Files
 use `key = value` lines; command lines override any field with
 `--section.key value`. The resolved snapshot written into every output
 directory replays the run exactly.
@@ -54,7 +54,6 @@ class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     seed: int = 0
-    threads: int = 1
     test_mode: bool = False
 
 
@@ -112,6 +111,7 @@ _SCHEMA = {
     ("data", "per_class"): int,
     ("data", "total"): int,
     ("data", "noise"): float,
+    ("data", "seed"): int,
     ("data", "split_seed"): int,
     ("data", "train_frac"): float,
     ("data", "normalize"): _parse_bool,
@@ -128,7 +128,6 @@ _SCHEMA = {
     ("eval", "finetune_warmup_epochs"): int,
     ("eval", "freeze_encoder"): _parse_bool,
     ("run", "seed"): int,
-    ("run", "threads"): int,
     ("run", "test_mode"): _parse_bool,
 }
 
@@ -217,8 +216,7 @@ def load_run_config(config=None, overrides=()):
     evalc = EvalConfig(**sect("eval"))
     run = sect("run")
     rc = RunConfig(model=model, training=training, data=data, eval=evalc,
-                   seed=run.get("seed", 0), threads=run.get("threads", 1),
-                   test_mode=run.get("test_mode", False))
+                   seed=run.get("seed", 0), test_mode=run.get("test_mode", False))
     model.validate()
     data.validate()
     evalc.validate()
@@ -233,8 +231,8 @@ def make_train_config(rc, out_dir):
     return TrainConfig(epochs=t["epochs"], batch_size=t["batch_size"],
                        base_lr=t["base_lr"], min_lr=t["min_lr"],
                        warmup_epochs=t["warmup_epochs"], weight_decay=t["weight_decay"],
-                       grad_clip=t["grad_clip"], seed=rc.seed, threads=rc.threads,
-                       test_mode=rc.test_mode, augment=t["augment"],
+                       grad_clip=t["grad_clip"], seed=rc.seed, test_mode=rc.test_mode,
+                       augment=t["augment"],
                        scale_range=(t["scale_min"], t["scale_max"]),
                        shift_range=t["shift"], checkpoint_every=t["checkpoint_every"],
                        out_dir=out_dir)
@@ -275,12 +273,12 @@ def resolved_text(rc):
     d = rc.data
     emit("data", [
         ("source", d.source), ("kinds", tuple(d.kinds)), ("per_class", d.per_class),
-        ("total", d.total), ("noise", d.noise), ("split_seed", d.split_seed),
+        ("total", d.total), ("noise", d.noise), ("seed", d.seed), ("split_seed", d.split_seed),
         ("train_frac", d.train_frac), ("normalize", d.normalize),
     ])
     e = rc.eval
     emit("eval", [(f.name, getattr(e, f.name)) for f in fields(EvalConfig)])
-    emit("run", [("seed", rc.seed), ("threads", rc.threads), ("test_mode", rc.test_mode)])
+    emit("run", [("seed", rc.seed), ("test_mode", rc.test_mode)])
     return out.getvalue()
 
 

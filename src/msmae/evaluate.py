@@ -89,16 +89,8 @@ def linear_probe(train_feats, train_labels, test_feats, test_labels,
                        confusion=confusion.tolist(), num_train=m, num_test=int(yte.shape[0]))
 
 
-def extract_features(model, records, threads=1):
-    """Global feature per record, stacked (M, C_S); no masking, no tape.
-
-    Samples are independent, so the thread count never changes the result.
-    """
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            feats = list(pool.map(lambda r: model.global_feature(r.points).data, records))
-        return np.stack(feats)
+def extract_features(model, records):
+    """Global feature per record, stacked (M, C_S); no masking, no tape."""
     return np.stack([model.global_feature(r.points).data for r in records])
 
 
@@ -224,40 +216,43 @@ def finetune(model, train_records, val_records, num_classes, ftc):
     if ftc.freeze_encoder:
         for p in model.params.values():
             p.requires_grad = False
-        cached = extract_features(model, records)
-    trainable = dict(head) if ftc.freeze_encoder else {**model.params, **head}
-    names = list(trainable)
-    opt = OptimizerState.init(trainable, weight_decay=ftc.weight_decay)
-    steps_per_epoch = len(records) // ftc.batch_size
-    sched = Schedule(base_lr=ftc.base_lr, min_lr=ftc.min_lr, warmup_epochs=ftc.warmup_epochs,
-                     total_epochs=ftc.epochs, steps_per_epoch=steps_per_epoch)
-    step = 0
-    for epoch in range(ftc.epochs):
-        order = derive_rng(ftc.seed, "shuffle", epoch).permutation(len(records))
-        for b in range(steps_per_epoch):
-            batch = order[b * ftc.batch_size:(b + 1) * ftc.batch_size]
-            grad_sum = None
-            for i in batch:
-                rec = records[int(i)]
-                with T.Tape() as tape:
-                    if ftc.freeze_encoder:
-                        gf = T.tensor(cached[int(i)])
+    try:
+        cached = extract_features(model, records) if ftc.freeze_encoder else None
+        trainable = dict(head) if ftc.freeze_encoder else {**model.params, **head}
+        names = list(trainable)
+        opt = OptimizerState.init(trainable, weight_decay=ftc.weight_decay)
+        steps_per_epoch = len(records) // ftc.batch_size
+        sched = Schedule(base_lr=ftc.base_lr, min_lr=ftc.min_lr, warmup_epochs=ftc.warmup_epochs,
+                         total_epochs=ftc.epochs, steps_per_epoch=steps_per_epoch)
+        step = 0
+        for epoch in range(ftc.epochs):
+            order = derive_rng(ftc.seed, "shuffle", epoch).permutation(len(records))
+            for b in range(steps_per_epoch):
+                batch = order[b * ftc.batch_size:(b + 1) * ftc.batch_size]
+                grad_sum = None
+                for i in batch:
+                    rec = records[int(i)]
+                    with T.Tape() as tape:
+                        if ftc.freeze_encoder:
+                            gf = T.tensor(cached[int(i)])
+                        else:
+                            gf = extract_global_feature(model.params, model.config, rec.points)
+                        logits = T.reshape(head_forward(head, T.reshape(gf, (1, feat_dim))),
+                                           (1, num_classes))
+                        loss = T.softmax_cross_entropy(logits, np.asarray([rec.label]))
+                    grads = tape.gradients(loss, [trainable[n] for n in names])
+                    if grad_sum is None:
+                        grad_sum = [g.copy() for g in grads]
                     else:
-                        gf = extract_global_feature(model.params, model.config, rec.points)
-                    logits = T.reshape(head_forward(head, T.reshape(gf, (1, feat_dim))), (1, num_classes))
-                    loss = T.softmax_cross_entropy(logits, np.asarray([rec.label]))
-                grads = tape.gradients(loss, [trainable[n] for n in names])
-                if grad_sum is None:
-                    grad_sum = [g.copy() for g in grads]
-                else:
-                    for acc, g in zip(grad_sum, grads):
-                        acc += g
-            gd = {n: g / len(batch) for n, g in zip(names, grad_sum)}
-            adamw_step(trainable, gd, opt, lr_at(step + 1, sched))
-            step += 1
-    if ftc.freeze_encoder:
-        for p in model.params.values():
-            p.requires_grad = True
+                        for acc, g in zip(grad_sum, grads):
+                            acc += g
+                gd = {n: g / len(batch) for n, g in zip(names, grad_sum)}
+                adamw_step(trainable, gd, opt, lr_at(step + 1, sched))
+                step += 1
+    finally:
+        if ftc.freeze_encoder:
+            for p in model.params.values():
+                p.requires_grad = True
     val = sorted(val_records, key=lambda r: r.id)
     feats = extract_features(model, val)
     logits = head_forward(head, T.tensor(feats.astype(np.float32))).data

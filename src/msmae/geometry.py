@@ -154,15 +154,23 @@ def interpolate(feats, fine_xyz, coarse_xyz, k=3, eps=1e-8):
     """Spread coarse per-point features onto fine positions.
 
     feats is an (M, C) Tensor aligned with coarse_xyz; the result is an
-    (F, C) Tensor. Differentiable in feats; the weights are constants of
-    the geometry.
+    (F, C) Tensor. With B stacked sets, fine_xyz (B, F, 3) and coarse_xyz
+    (B, M, 3), feats packs the sets' rows one after another as (B*M, C),
+    the result likewise as (B*F, C), and each set interpolates within
+    itself. Differentiable in feats; the weights are constants of the
+    geometry.
     """
     feats = T.as_tensor(feats)
-    if feats.ndim != 2 or feats.shape[0] != np.asarray(coarse_xyz).shape[0]:
-        raise ShapeError(f"feats {feats.shape} do not align with coarse points")
-    idx, w = interp_weights(fine_xyz, coarse_xyz, k=k, eps=eps)
-    gathered = T.gather(feats, idx)  # (F, k, C)
-    weighted = T.mul(gathered, w[:, :, None])
+    fine, coarse = np.asarray(fine_xyz), np.asarray(coarse_xyz)
+    if coarse.ndim == 2:
+        fine, coarse = fine[None], coarse[None]
+    sets, m = coarse.shape[:2]
+    if feats.ndim != 2 or feats.shape[0] != sets * m or fine.shape[0] != sets:
+        raise ShapeError(f"feats {feats.shape} do not align with coarse points {coarse.shape}")
+    idx, w = zip(*(interp_weights(f, c, k=k, eps=eps) for f, c in zip(fine, coarse)))
+    rows = np.concatenate([i + b * m for b, i in enumerate(idx)])
+    gathered = T.gather(feats, rows)  # (B*F, k, C)
+    weighted = T.mul(gathered, np.concatenate(w)[:, :, None])
     return T.reduce_sum(weighted, axis=1)
 
 

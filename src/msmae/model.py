@@ -15,6 +15,13 @@ through a 2C->C linear. The head reconstructs, for each masked
 second-scale token, its k_2 finest-scale neighbors as seed-relative
 offsets under a symmetric squared-l2 Chamfer loss.
 
+Batches: each cloud's hierarchy and mask are built on their own in numpy
+(hierarchy); the *_batch functions then run B clouds at once with their
+token rows packed cloud after cloud, so every linear layer, norm and MLP
+runs once over all rows. Attention stays within a cloud through a padded
+(B, n, n) layout (Padding). encode, decode, reconstruct and
+forward_pretrain are the one-cloud case of the same code.
+
 All functions are pure in (params, config, inputs); parameters live in a
 flat name->Tensor dict with a creation order fixed by param_shapes.
 """
@@ -243,109 +250,167 @@ def _pos_encoding(params, prefix, coords, dtype):
     return _mlp2(params, prefix, T.tensor(coords.astype(dtype)))
 
 
-def _attention(params, prefix, x, allow, heads):
-    """Multi-head self-attention over one token set.
+@dataclass(frozen=True)
+class Padding:
+    """How B token sets, packed one after another as rows of one (N, C)
+    tensor, map onto a padded (B, n, C) layout with n the largest set.
 
-    x is (n, C) already normalized; allow is an (n, n) boolean adjacency.
-    Returns (output (n, C), probs (heads, n, n) numpy).
+    index is the (B, n) packed row of every slot (padding slots repeat row
+    0) and real the flat slots, in B*n order, that hold a packed row. Both
+    are None when every set has n rows, where a reshape does the mapping.
     """
-    n, C = x.shape
+
+    count: int
+    width: int
+    index: np.ndarray = None
+    real: np.ndarray = None
+
+    @classmethod
+    def of(cls, sizes):
+        sizes = np.asarray(sizes, dtype=np.int64)
+        count, width = sizes.size, int(sizes.max())
+        if (sizes == width).all():
+            return cls(count, width)
+        slot = np.arange(width)
+        filled = slot[None, :] < sizes[:, None]
+        starts = np.cumsum(sizes) - sizes
+        index = np.where(filled, starts[:, None] + slot[None, :], 0)
+        return cls(count, width, index, np.flatnonzero(filled))
+
+
+def _attention(params, prefix, x, allow, heads, pad):
+    """Multi-head self-attention within each of pad.count packed token sets.
+
+    x is (N, C) already normalized; allow is a (B, n, n) boolean adjacency
+    over padded slots, or None for dense attention within every set, which
+    needs sets that fill the layout (no padding to keep out).
+    Returns (output (N, C), probs (B, heads, n, n) numpy).
+    """
+    if allow is None and pad.index is not None:
+        raise ContractError("dense attention over padded token sets would attend to padding")
+    C = x.shape[1]
+    B, n = pad.count, pad.width
     dh = C // heads
     q = T.add(T.matmul(x, params[f"{prefix}.wq"]), params[f"{prefix}.bq"])
     k = T.add(T.matmul(x, params[f"{prefix}.wk"]), params[f"{prefix}.bk"])
     v = T.add(T.matmul(x, params[f"{prefix}.wv"]), params[f"{prefix}.bv"])
 
-    def split(t):  # (n, C) -> (heads, n, dh)
-        return T.transpose(T.reshape(t, (n, heads, dh)), (1, 0, 2))
+    def split(t):  # packed (N, C) -> (B, heads, n, dh)
+        if pad.index is not None:
+            t = T.gather(t, pad.index)
+        return T.transpose(T.reshape(t, (B, n, heads, dh)), (0, 2, 1, 3))
 
     qh, kh, vh = split(q), split(k), split(v)
-    scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 2, 1))), 1.0 / math.sqrt(dh))
-    probs = T.masked_softmax(scores, allow[None, :, :])
-    mixed = T.matmul(probs, vh)  # (heads, n, dh)
-    merged = T.reshape(T.transpose(mixed, (1, 0, 2)), (n, C))
+    scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+    probs = T.masked_softmax(scores, None if allow is None else allow[:, None, :, :])
+    mixed = T.matmul(probs, vh)  # (B, heads, n, dh)
+    merged = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (B * n, C))
+    if pad.real is not None:
+        merged = T.gather(merged, pad.real)
     out = T.add(T.matmul(merged, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
     return out, probs.data
 
 
-def encoder_block(params, prefix, feats, pos, allow, heads, return_attn=False):
+def encoder_block(params, prefix, feats, pos, allow, heads, return_attn=False, pad=None):
     """Pre-norm transformer block with adjacency-restricted attention.
 
     The positional encoding is re-added to the features ahead of every
-    block, so each attention layer sees current coordinates.
+    block, so each attention layer sees current coordinates. Without pad,
+    feats is one token set and allow its (n, n) adjacency (or None, dense);
+    with pad, feats packs pad.count sets and allow is (B, n, n) or None.
     """
+    single = pad is None
+    if single:
+        pad = Padding(1, feats.shape[0])
+        allow = None if allow is None else np.asarray(allow)[None]
     h = T.add(feats, pos) if pos is not None else feats
     normed = T.layer_norm(h, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    attn_out, probs = _attention(params, f"{prefix}.attn", normed, allow, heads)
+    attn_out, probs = _attention(params, f"{prefix}.attn", normed, allow, heads, pad)
     h = T.add(h, attn_out)
     normed2 = T.layer_norm(h, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
     h = T.add(h, _mlp2(params, f"{prefix}.ffn", normed2))
     if return_attn:
-        return h, probs
+        return h, probs[0] if single else probs
     return h
 
 
-def embed_tokens(params, config, repr, assignment):
+def _encoder_allow(coords, radius, pad, local):
+    """(B, n, n) attention adjacency of padded token sets, or None for dense.
+
+    Real slots follow the radius mask (or see their whole set without
+    local attention); a padding slot sees only itself, so no row is empty
+    and no real token attends to padding.
+    """
+    if not local and pad.index is None:
+        return None
+    allow = np.zeros((pad.count, pad.width, pad.width), dtype=bool)
+    for b, c in enumerate(coords):
+        m = c.shape[0]
+        allow[b, :m, :m] = radius_mask(c, radius) if local else True
+    allow |= np.eye(pad.width, dtype=bool)
+    return allow
+
+
+def embed_tokens(params, config, reprs, assignments):
     """Finest-scale visible neighborhoods -> C_1 tokens (mini point network).
 
     Neighbor coordinates are re-centered on their seed, so the embedding is
     translation invariant; max-pool over the k_1 neighbors makes it
-    neighbor-order invariant.
+    neighbor-order invariant. Rows of all clouds are packed in cloud order.
     """
     dtype = params["embed.mlp1.w0"].dtype
-    vis = assignment.visible[0]
-    idx = np.flatnonzero(vis)
-    seeds = repr.seeds[0][idx]  # (n, 3)
-    groups = repr.input_points[repr.neighbor_index[0][idx]]  # (n, k, 3)
-    rel = (groups - seeds[:, None, :]).astype(dtype)
+    rel = []
+    for repr, assignment in zip(reprs, assignments):
+        idx = np.flatnonzero(assignment.visible[0])
+        groups = repr.input_points[repr.neighbor_index[0][idx]]  # (n, k, 3)
+        rel.append(groups - repr.seeds[0][idx][:, None, :])
+    rel = np.concatenate(rel).astype(dtype)
     n, k, _ = rel.shape
-    flat = T.tensor(rel.reshape(n * k, 3))
-    per_point = _mlp2(params, "embed.mlp1", flat)
-    ids = np.repeat(np.arange(n), k)
-    pooled = T.segment_max(per_point, ids, n)
+    per_point = _mlp2(params, "embed.mlp1", T.tensor(rel.reshape(n * k, 3)))
+    pooled = T.segment_max(per_point, np.repeat(np.arange(n), k), n)
     return _mlp2(params, "embed.mlp2", pooled)
 
 
-def merge_tokens(params, config, repr, assignment, scale, feats):
+def merge_tokens(params, config, reprs, assignments, scale, feats):
     """Pool scale-(scale-1) visible tokens into scale-`scale` visible tokens.
 
-    scale is 1-based with scale >= 2. Each visible seed gathers its k
-    neighbor tokens (closure guarantees they are visible), concatenates the
-    neighbor's seed-relative coordinate, applies an MLP and max-pools.
+    scale is 1-based with scale >= 2; feats packs every cloud's
+    scale-(scale-1) tokens. Each visible seed gathers its k neighbor tokens
+    (closure guarantees they are visible), concatenates the neighbor's
+    seed-relative coordinate, applies an MLP and max-pools.
     """
     i = scale - 1  # 0-based target scale index
-    dtype = feats.dtype
-    vis_here = assignment.visible[i]
-    vis_below = assignment.visible[i - 1]
-    below_pos = np.full(vis_below.shape[0], -1, dtype=np.int64)
-    below_pos[np.flatnonzero(vis_below)] = np.arange(int(vis_below.sum()))
-    idx = np.flatnonzero(vis_here)
-    neigh = repr.neighbor_index[i][idx]  # (n, k) global indices into scale i-1
-    rows = below_pos[neigh]
-    if (rows < 0).any():
-        raise InvariantError(
-            f"merge at scale {scale}: a required neighbor token is masked; "
-            "visibility masks are not closure-consistent"
-        )
+    rows, rel = [], []
+    start = 0
+    for repr, assignment in zip(reprs, assignments):
+        vis_below = assignment.visible[i - 1]
+        below_pos = np.full(vis_below.shape[0], -1, dtype=np.int64)
+        below = np.flatnonzero(vis_below)
+        below_pos[below] = start + np.arange(below.size)
+        start += below.size
+        idx = np.flatnonzero(assignment.visible[i])
+        neigh = repr.neighbor_index[i][idx]  # (n, k) indices into scale i-1
+        if (below_pos[neigh] < 0).any():
+            raise InvariantError(
+                f"merge at scale {scale}: a required neighbor token is masked; "
+                "visibility masks are not closure-consistent"
+            )
+        rows.append(below_pos[neigh])
+        rel.append(repr.parent_points[i][neigh] - repr.seeds[i][idx][:, None, :])
+    rows = np.concatenate(rows)
     n, k = rows.shape
     gathered = T.gather(feats, rows)  # (n, k, C)
-    rel = (repr.parent_points[i][neigh] - repr.seeds[i][idx][:, None, :]).astype(dtype)
-    joined = T.concat([gathered, T.tensor(rel)], axis=-1)
+    joined = T.concat([gathered, T.tensor(np.concatenate(rel).astype(feats.dtype))], axis=-1)
     flat = T.reshape(joined, (n * k, joined.shape[-1]))
     h = _mlp2(params, f"merge{scale}", flat)
-    ids = np.repeat(np.arange(n), k)
-    return T.segment_max(h, ids, n)
+    return T.segment_max(h, np.repeat(np.arange(n), k), n)
 
 
-def _all_visible(repr):
-    return MaskAssignment(visible=[np.ones(s.shape[0], dtype=bool) for s in repr.seeds])
+def hierarchy(config, points, rng=None, mask_ratio=None):
+    """One cloud's scales and visibility masks, plain numpy.
 
-
-def encode(params, config, points, rng=None, mask_ratio=None):
-    """Full encoder pass.
-
-    Returns (tokens, repr, assignment): tokens[i] is the visible token set
-    of scale i+1, rows ordered by ascending seed position. mask_ratio
-    overrides the config value (0 disables masking and needs no rng).
+    Returns (repr, assignment). mask_ratio overrides the config value (0
+    disables masking and needs no rng).
     """
     config.validate()
     pts = np.asarray(points, dtype=np.float64)
@@ -356,33 +421,12 @@ def encode(params, config, points, rng=None, mask_ratio=None):
     repr = build_scales(pts, list(config.counts), list(config.ks))
     ratio = config.mask_ratio if mask_ratio is None else ratio_check(mask_ratio)
     if ratio == 0.0:
-        assignment = _all_visible(repr)
-    else:
-        if rng is None:
-            raise ContractError("masking requires an rng")
-        if config.multi_scale_mask:
-            vis_s = sample_visible(config.counts[-1], ratio, rng)
-            assignment = back_project(repr, vis_s)
-        else:
-            assignment = independent_masks(repr, ratio, rng)
-    feats = embed_tokens(params, config, repr, assignment)
-    dtype = feats.dtype
-    plan = config.encoder_block_plan()
-    tokens = []
-    for i in range(config.num_scales):
-        if plan[i]:
-            coords = repr.seeds[i][assignment.visible[i]]
-            if config.local_attention:
-                allow = radius_mask(coords, config.radii[i])
-            else:
-                allow = np.ones((coords.shape[0], coords.shape[0]), dtype=bool)
-            pos = _pos_encoding(params, f"enc{i + 1}.pos", coords, dtype)
-            for b in range(plan[i]):
-                feats = encoder_block(params, f"enc{i + 1}.blk{b + 1}", feats, pos, allow, config.heads)
-        tokens.append(feats)
-        if i < config.num_scales - 1:
-            feats = merge_tokens(params, config, repr, assignment, i + 2, feats)
-    return tokens, repr, assignment
+        return repr, MaskAssignment(visible=[np.ones(s.shape[0], dtype=bool) for s in repr.seeds])
+    if rng is None:
+        raise ContractError("masking requires an rng")
+    if config.multi_scale_mask:
+        return repr, back_project(repr, sample_visible(config.counts[-1], ratio, rng))
+    return repr, independent_masks(repr, ratio, rng)
 
 
 def ratio_check(r):
@@ -391,86 +435,146 @@ def ratio_check(r):
     return r
 
 
-def _scatter_rows(vis_rows, masked_rows, vis_idx, masked_idx, n):
-    """Interleave visible and masked row blocks back into seed order."""
-    stacked = T.concat([vis_rows, masked_rows], axis=0)
-    pos = np.empty(n, dtype=np.int64)
-    pos[vis_idx] = np.arange(vis_idx.size)
-    pos[masked_idx] = vis_idx.size + np.arange(masked_idx.size)
-    return T.gather(stacked, pos)
+def encode_batch(params, config, reprs, assignments):
+    """Encoder pass over B clouds at once.
+
+    Returns tokens: tokens[i] packs the visible scale-(i+1) tokens of every
+    cloud, cloud after cloud, each cloud's rows by ascending seed position.
+    Attention stays within a cloud.
+    """
+    feats = embed_tokens(params, config, reprs, assignments)
+    dtype = feats.dtype
+    plan = config.encoder_block_plan()
+    tokens = []
+    for i in range(config.num_scales):
+        if plan[i]:
+            coords = [r.seeds[i][a.visible[i]] for r, a in zip(reprs, assignments)]
+            pad = Padding.of([c.shape[0] for c in coords])
+            allow = _encoder_allow(coords, config.radii[i], pad, config.local_attention)
+            pos = _pos_encoding(params, f"enc{i + 1}.pos", np.concatenate(coords), dtype)
+            for b in range(plan[i]):
+                feats = encoder_block(params, f"enc{i + 1}.blk{b + 1}", feats, pos, allow,
+                                      config.heads, pad=pad)
+        tokens.append(feats)
+        if i < config.num_scales - 1:
+            feats = merge_tokens(params, config, reprs, assignments, i + 2, feats)
+    return tokens
 
 
-def decode(params, config, tokens, repr, assignment):
-    """Decoder pass; returns the full second-scale token set (N_2, C_2).
+def encode(params, config, points, rng=None, mask_ratio=None):
+    """Full encoder pass over one cloud.
+
+    Returns (tokens, repr, assignment): tokens[i] is the visible token set
+    of scale i+1, rows ordered by ascending seed position. mask_ratio
+    overrides the config value (0 disables masking and needs no rng).
+    """
+    repr, assignment = hierarchy(config, points, rng=rng, mask_ratio=mask_ratio)
+    return encode_batch(params, config, [repr], [assignment]), repr, assignment
+
+
+def _interleave(vis_rows, hidden_rows, visible):
+    """Rows in seed order from packed visible rows and packed hidden rows.
+
+    visible is the flat (B*n) visibility of B same-size clouds, cloud after
+    cloud, the order both row blocks are packed in.
+    """
+    if hidden_rows.shape[0] == 0:
+        return vis_rows
+    pos = np.empty(visible.size, dtype=np.int64)
+    nv = int(visible.sum())
+    pos[visible] = np.arange(nv)
+    pos[~visible] = nv + np.arange(visible.size - nv)
+    return T.gather(T.concat([vis_rows, hidden_rows], axis=0), pos)
+
+
+def decode_batch(params, config, tokens, reprs, assignments):
+    """Decoder pass over B clouds; returns their full second-scale token
+    sets packed as (B*N_2, C_2).
 
     Stage 1 runs on all coarsest positions (visible tokens plus the shared
     mask token); every later stage first interpolates all tokens onto the
     next finer scale, changes channels with a linear layer, and fuses
-    visible rows with their encoder tokens.
+    visible rows with their encoder tokens. Every decoder scale has the
+    same size in every cloud, so attention needs no padding.
     """
     S = config.num_scales
+    B = len(reprs)
     dtype = tokens[-1].dtype
-    vis = assignment.visible[-1]
-    vis_idx = np.flatnonzero(vis)
-    masked_idx = np.flatnonzero(~vis)
-    mtok = T.add(T.tensor(np.zeros((masked_idx.size, config.dims[-1]), dtype=dtype)),
+    vis = np.concatenate([a.visible[-1] for a in assignments])
+    mtok = T.add(T.tensor(np.zeros((int((~vis).sum()), config.dims[-1]), dtype=dtype)),
                  params["mask_token"])
-    feats = _scatter_rows(tokens[-1], mtok, vis_idx, masked_idx, vis.shape[0])
+    feats = _interleave(tokens[-1], mtok, vis)
     plan = config.decoder_block_plan()
     for j in range(1, S):
         scale_idx = S - j
         if j > 1:
-            fine, coarse = repr.seeds[scale_idx], repr.seeds[scale_idx + 1]
-            feats = interpolate(feats, fine, coarse, k=3)
-            feats = _lin(params, f"prop{j - 1}", feats)
+            fine = np.stack([r.seeds[scale_idx] for r in reprs])
+            coarse = np.stack([r.seeds[scale_idx + 1] for r in reprs])
+            feats = _lin(params, f"prop{j - 1}", interpolate(feats, fine, coarse, k=3))
             if config.skip_connections:
-                vis_here = assignment.visible[scale_idx]
-                vi = np.flatnonzero(vis_here)
-                mi = np.flatnonzero(~vis_here)
+                vis_here = np.concatenate([a.visible[scale_idx] for a in assignments])
                 fused = _lin(params, f"skip{j}",
-                             T.concat([T.gather(feats, vi), tokens[scale_idx]], axis=-1))
-                if mi.size:
-                    feats = _scatter_rows(fused, T.gather(feats, mi), vi, mi, vis_here.shape[0])
-                else:
-                    feats = fused
+                             T.concat([T.gather(feats, np.flatnonzero(vis_here)), tokens[scale_idx]],
+                                      axis=-1))
+                feats = _interleave(fused, T.gather(feats, np.flatnonzero(~vis_here)), vis_here)
         if plan[j - 1]:
-            coords = repr.seeds[scale_idx]
-            n = coords.shape[0]
-            allow = np.ones((n, n), dtype=bool)
+            coords = np.concatenate([r.seeds[scale_idx] for r in reprs])
+            pad = Padding(B, config.counts[scale_idx])
             pos = _pos_encoding(params, f"dec{j}.pos", coords, dtype)
             for b in range(plan[j - 1]):
-                feats = encoder_block(params, f"dec{j}.blk{b + 1}", feats, pos, allow, config.heads)
+                feats = encoder_block(params, f"dec{j}.blk{b + 1}", feats, pos, None,
+                                      config.heads, pad=pad)
     return feats
 
 
-def reconstruct(params, config, dec_feats, repr, assignment):
-    """Predict masked second-scale neighborhoods; per-token Chamfer loss.
+def decode(params, config, tokens, repr, assignment):
+    """Decoder pass over one cloud; returns the full second-scale token set
+    (N_2, C_2)."""
+    return decode_batch(params, config, tokens, [repr], [assignment])
+
+
+def reconstruct_batch(params, config, dec_feats, reprs, assignments):
+    """Predict masked second-scale neighborhoods of B clouds; Chamfer loss.
 
     Each masked token's linear head output is k_2 offsets relative to its
     seed; ground truth is the seed's recorded finest-neighbor coordinates,
-    equally re-centered. Returns (predictions (M, k_2, 3), scalar loss).
+    equally re-centered. The loss is the mean over clouds of each cloud's
+    mean per-token Chamfer distance: a token of cloud b weighs 1/(B*M_b),
+    with M_b the cloud's masked token count. Returns (predictions packed as
+    (sum M_b, k_2, 3), scalar loss).
     """
-    vis2 = assignment.visible[1]
-    masked_idx = np.flatnonzero(~vis2)
-    if masked_idx.size == 0:
+    masked = [np.flatnonzero(~a.visible[1]) for a in assignments]
+    if any(m.size == 0 for m in masked):
         raise ContractError("no masked second-scale token to reconstruct")
-    k2 = config.ks[1]
-    rows = T.gather(dec_feats, masked_idx)
-    flat = _lin(params, "recon", rows)
-    pred = T.reshape(flat, (masked_idx.size, k2, 3))
-    gt = repr.parent_points[1][repr.neighbor_index[1][masked_idx]] \
-        - repr.seeds[1][masked_idx][:, None, :]
-    per_token = chamfer_sets(pred, gt.astype(dec_feats.dtype))
-    loss = T.mul(T.reduce_sum(per_token), 1.0 / masked_idx.size)
-    return pred, loss
+    B, n2, k2 = len(masked), config.counts[1], config.ks[1]
+    dtype = dec_feats.dtype
+    rows = np.concatenate([m + b * n2 for b, m in enumerate(masked)])
+    pred = T.reshape(_lin(params, "recon", T.gather(dec_feats, rows)), (rows.size, k2, 3))
+    gt = np.concatenate([r.parent_points[1][r.neighbor_index[1][m]] - r.seeds[1][m][:, None, :]
+                         for r, m in zip(reprs, masked)])
+    per_token = chamfer_sets(pred, gt.astype(dtype))
+    weights = np.concatenate([np.full(m.size, 1.0 / (B * m.size)) for m in masked]).astype(dtype)
+    return pred, T.reduce_sum(T.mul(per_token, weights))
+
+
+def reconstruct(params, config, dec_feats, repr, assignment):
+    """Predict one cloud's masked second-scale neighborhoods; returns
+    (predictions (M, k_2, 3), mean per-token Chamfer loss)."""
+    return reconstruct_batch(params, config, dec_feats, [repr], [assignment])
+
+
+def forward_pretrain_batch(params, config, clouds, rngs):
+    """encode -> decode -> reconstruct over B clouds, each masked with its
+    own rng; returns the scalar mean of the per-cloud Chamfer losses."""
+    reprs, assignments = zip(*(hierarchy(config, p, rng=r) for p, r in zip(clouds, rngs)))
+    tokens = encode_batch(params, config, reprs, assignments)
+    dec = decode_batch(params, config, tokens, reprs, assignments)
+    return reconstruct_batch(params, config, dec, reprs, assignments)[1]
 
 
 def forward_pretrain(params, config, points, rng):
     """encode -> decode -> reconstruct; returns the scalar Chamfer loss."""
-    tokens, repr, assignment = encode(params, config, points, rng=rng)
-    dec = decode(params, config, tokens, repr, assignment)
-    _, loss = reconstruct(params, config, dec, repr, assignment)
-    return loss
+    return forward_pretrain_batch(params, config, [points], [rng])
 
 
 def extract_global_feature(params, config, points):

@@ -6,6 +6,10 @@ tape's execution record. ``tape.backward(loss)`` walks that record in exact
 reverse order and accumulates gradients additively, so two runs on identical
 inputs produce bit-identical gradients.
 
+The tape owns its recorded tensors; a tensor refers back to its tape only
+weakly, so a finished tape and every activation it holds are freed as soon
+as the caller drops the tape, without waiting for the cyclic collector.
+
 Tensors hold a numpy array (row-major). Precision is whatever dtype the
 caller creates them with: models train in float32, gradient tests run in
 float64. Outside a tape every op is a plain numpy computation.
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 
 import numpy as np
 
@@ -116,6 +121,7 @@ class Tape:
     def __init__(self):
         self._nodes = []  # (out, parents, vjp); vjp(g) -> per-parent grads
         self._out_ids = set()
+        self._ref = weakref.ref(self)  # what recorded tensors hold: no cycle
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -128,12 +134,17 @@ class Tape:
 
     def _record(self, out, parents, vjp):
         out.requires_grad = True
-        out._tape = self
+        out._tape = self._ref
         self._nodes.append((out, parents, vjp))
         self._out_ids.add(id(out))
 
-    def _flow(self, loss):
-        """Reverse pass; returns {id(tensor): (tensor, grad array)}."""
+    def _flow(self, loss, keep=None):
+        """Reverse pass; returns {id(tensor): (tensor, grad array)}.
+
+        With keep, a set of tensor ids, the gradient of any other recorded
+        output is dropped once its node has been visited, so intermediate
+        gradients do not all stay alive until the sweep ends.
+        """
         if not isinstance(loss, Tensor):
             raise ContractError("backward expects a Tensor loss")
         if loss.data.ndim != 0:
@@ -155,6 +166,8 @@ class Tape:
                 # never in-place: contributions may be views of downstream grads
                 grads[key] = pg if held is None else held + pg
                 tensors[key] = parent
+            if keep is not None and id(out) not in keep:
+                del grads[id(out)]
         return {k: (tensors[k], grads[k]) for k in grads}
 
     def backward(self, loss):
@@ -169,7 +182,7 @@ class Tape:
         Returns one array per entry of wrt; zeros where loss does not depend
         on the tensor.
         """
-        flow = self._flow(loss)
+        flow = self._flow(loss, keep={id(t) for t in wrt})
         out = []
         for t in wrt:
             hit = flow.get(id(t))
@@ -178,10 +191,11 @@ class Tape:
 
 
 def backward(loss):
-    """Reverse-mode sweep from a scalar loss produced on an active-or-finished tape."""
-    if not isinstance(loss, Tensor) or loss._tape is None:
-        raise ContractError("loss was not produced on a tape")
-    loss._tape.backward(loss)
+    """Reverse-mode sweep from a scalar loss produced on a tape still alive."""
+    tape = loss._tape() if isinstance(loss, Tensor) and loss._tape is not None else None
+    if tape is None:
+        raise ContractError("loss was not produced on a tape, or its tape has been freed")
+    tape.backward(loss)
 
 
 def tensor(data, requires_grad=False, dtype=None):
@@ -332,21 +346,25 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     return _make(data, (x, gamma, beta), vjp)
 
 
-def masked_softmax(logits, allow):
+def masked_softmax(logits, allow=None):
     """Softmax over the last axis restricted to allowed positions.
 
     Disallowed entries are exactly zero in the output; allowed entries are
     positive and sum to one per row, computed with max-subtraction. A row
-    with no allowed entry is an error, never a silent uniform.
+    with no allowed entry is an error, never a silent uniform. allow=None
+    allows every position.
     """
     logits = as_tensor(logits)
-    mask = np.asarray(allow.data if isinstance(allow, Tensor) else allow, dtype=bool)
-    mask = np.broadcast_to(mask, logits.data.shape)
-    if not mask.any(axis=-1).all():
-        raise ContractError("masked_softmax: a row has no allowed entries")
     d = logits.data
-    m = np.where(mask, d, -np.inf).max(axis=-1, keepdims=True)
-    e = np.where(mask, np.exp(np.where(mask, d - m, 0.0)), 0.0)
+    if allow is None:
+        e = np.exp(d - d.max(axis=-1, keepdims=True))
+    else:
+        mask = np.asarray(allow.data if isinstance(allow, Tensor) else allow, dtype=bool)
+        mask = np.broadcast_to(mask, d.shape)
+        if not mask.any(axis=-1).all():
+            raise ContractError("masked_softmax: a row has no allowed entries")
+        m = np.where(mask, d, -np.inf).max(axis=-1, keepdims=True)
+        e = np.where(mask, np.exp(np.where(mask, d - m, 0.0)), 0.0)
     p = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):

@@ -6,10 +6,13 @@ draw comes from a stream derived as SeedSequence([seed, role, *indices]),
 so the shuffle of epoch e, the augmentation of sample i in epoch e, and
 the mask of sample i in epoch e are all reconstructible from the config
 alone. Resuming from an epoch-boundary checkpoint therefore continues the
-interrupted run bit-for-bit.
+interrupted run bit-for-bit, and the resumed run's metrics file matches
+the uninterrupted one line for line.
 
-Per-sample gradients are reduced in fixed sample order regardless of the
-thread count, so --threads only changes wall time, never results.
+Each optimizer step runs the whole batch as one forward and one backward
+pass on a single tape: the clouds' token rows are packed together (see
+model.forward_pretrain_batch), and the loss is the mean of the per-cloud
+losses, so its gradient is the batch-mean gradient directly.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, ContractError, NumericError
-from .model import forward_pretrain, param_shapes
+from .model import forward_pretrain_batch, param_shapes
 from .rng import derive_rng
 
 
@@ -146,7 +148,6 @@ class TrainConfig:
     eps: float = 1e-8
     grad_clip: float = 0.0  # 0 disables clipping
     seed: int = 0
-    threads: int = 1
     test_mode: bool = False  # zero wall_ms in metrics so runs diff clean
     augment: bool = True
     scale_range: tuple = (0.8, 1.25)
@@ -157,8 +158,6 @@ class TrainConfig:
     def validate(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.warmup_epochs >= self.epochs:
             raise ConfigError(f"warmup_epochs {self.warmup_epochs} must be < epochs {self.epochs}")
         if self.grad_clip < 0:
@@ -166,11 +165,26 @@ class TrainConfig:
         return self
 
 
-def _sample_grads(model, pts, mask_rng, names):
-    with T.Tape() as tape:
-        loss = forward_pretrain(model.params, model.config, pts, mask_rng)
-    grads = tape.gradients(loss, [model.params[n] for n in names])
-    return float(loss.data), grads
+def _kept_metrics(path, step):
+    """Lines of an existing metrics file for steps before `step`.
+
+    Stops at the first line that is unterminated or does not parse, such
+    as one cut short by a crash; every later line belongs to steps the
+    resumed run redoes.
+    """
+    kept = []
+    if os.path.exists(path):
+        with open(path) as fh:
+            for line in fh:
+                if not line.endswith("\n"):
+                    break
+                try:
+                    if json.loads(line)["step"] >= step:
+                        break
+                except (ValueError, KeyError, TypeError):
+                    break
+                kept.append(line)
+    return kept
 
 
 def train(model, records, tc, resume=None):
@@ -180,6 +194,8 @@ def train(model, records, tc, resume=None):
     and writes checkpoints under out_dir. Returns (opt_state, last_loss).
     Records are sorted by id first, so shard order never matters. A
     non-finite batch loss aborts with the failing step in the message.
+    On resume, metrics lines of the steps the run redoes are dropped
+    before new ones are written.
     """
     tc.validate()
     model.config.validate()
@@ -207,62 +223,44 @@ def train(model, records, tc, resume=None):
             raise ConfigError(f"checkpoint already at epoch {start_epoch} of {tc.epochs}")
     os.makedirs(tc.out_dir, exist_ok=True)
     metrics_path = os.path.join(tc.out_dir, "metrics.jsonl")
-    mode = "a" if resume is not None else "w"
     step = opt.step
+    kept = _kept_metrics(metrics_path, step) if resume is not None else []
     last_loss = math.nan
-    pool = ThreadPoolExecutor(max_workers=tc.threads) if tc.threads > 1 else None
-    try:
-        with open(metrics_path, mode) as metrics:
-            for epoch in range(start_epoch, tc.epochs):
-                order = derive_rng(tc.seed, "shuffle", epoch).permutation(len(records))
-                for b in range(steps_per_epoch):
-                    t0 = time.monotonic()
-                    batch = order[b * tc.batch_size:(b + 1) * tc.batch_size]
-                    jobs = []
-                    for i in batch:
-                        i = int(i)
-                        pts = records[i].points
-                        if tc.augment:
-                            pts = augment(pts, derive_rng(tc.seed, "augment", epoch, i),
-                                          tc.scale_range, tc.shift_range)
-                        jobs.append((pts, derive_rng(tc.seed, "mask", epoch, i)))
-                    if pool is None:
-                        results = [_sample_grads(model, p, r, names) for p, r in jobs]
-                    else:
-                        results = list(pool.map(lambda j: _sample_grads(model, j[0], j[1], names), jobs))
-                    # reduce in batch order: bit-stable under any thread count
-                    loss_sum = 0.0
-                    grad_sum = None
-                    for loss_i, grads_i in results:
-                        loss_sum += loss_i
-                        if grad_sum is None:
-                            grad_sum = [g.copy() for g in grads_i]
-                        else:
-                            for acc, g in zip(grad_sum, grads_i):
-                                acc += g
-                    batch_loss = loss_sum / tc.batch_size
-                    if not math.isfinite(batch_loss):
-                        raise NumericError(f"non-finite training loss at step {step} (epoch {epoch})")
-                    grads = {n: g / tc.batch_size for n, g in zip(names, grad_sum)}
-                    if tc.grad_clip > 0.0:
-                        norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-                        if norm > tc.grad_clip:
-                            scale = tc.grad_clip / norm
-                            for g in grads.values():
-                                g *= scale
-                    lr = lr_at(step + 1, sched)  # step s applies the rate at position s+1
-                    adamw_step(model.params, grads, opt, lr)
-                    last_loss = batch_loss
-                    wall = 0 if tc.test_mode else int((time.monotonic() - t0) * 1000)
-                    metrics.write(json.dumps({"step": step, "epoch": epoch, "loss": batch_loss,
-                                              "lr": lr, "wall_ms": wall}) + "\n")
-                    step += 1
-                if tc.checkpoint_every and (epoch + 1) % tc.checkpoint_every == 0 and epoch + 1 < tc.epochs:
-                    _save(model, opt, epoch + 1, os.path.join(tc.out_dir, f"checkpoint_epoch{epoch + 1:04d}.pm2a"))
-            _save(model, opt, tc.epochs, os.path.join(tc.out_dir, "checkpoint_final.pm2a"))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    with open(metrics_path, "w") as metrics:
+        metrics.writelines(kept)
+        for epoch in range(start_epoch, tc.epochs):
+            order = derive_rng(tc.seed, "shuffle", epoch).permutation(len(records))
+            for b in range(steps_per_epoch):
+                t0 = time.monotonic()
+                clouds, mask_rngs = [], []
+                for i in order[b * tc.batch_size:(b + 1) * tc.batch_size].tolist():
+                    pts = records[i].points
+                    if tc.augment:
+                        pts = augment(pts, derive_rng(tc.seed, "augment", epoch, i),
+                                      tc.scale_range, tc.shift_range)
+                    clouds.append(pts)
+                    mask_rngs.append(derive_rng(tc.seed, "mask", epoch, i))
+                with T.Tape() as tape:
+                    loss = forward_pretrain_batch(model.params, model.config, clouds, mask_rngs)
+                batch_loss = float(loss.data)
+                if not math.isfinite(batch_loss):
+                    raise NumericError(f"non-finite training loss at step {step} (epoch {epoch})")
+                grads = dict(zip(names, tape.gradients(loss, [model.params[n] for n in names])))
+                if tc.grad_clip > 0.0:
+                    norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+                    if norm > tc.grad_clip:  # new arrays: two gradients may share one
+                        grads = {n: g * (tc.grad_clip / norm) for n, g in grads.items()}
+                lr = lr_at(step + 1, sched)  # step s applies the rate at position s+1
+                adamw_step(model.params, grads, opt, lr)
+                last_loss = batch_loss
+                wall = 0 if tc.test_mode else int((time.monotonic() - t0) * 1000)
+                metrics.write(json.dumps({"step": step, "epoch": epoch, "loss": batch_loss,
+                                          "lr": lr, "wall_ms": wall}) + "\n")
+                step += 1
+            if tc.checkpoint_every and (epoch + 1) % tc.checkpoint_every == 0 and epoch + 1 < tc.epochs:
+                metrics.flush()  # every line before a checkpoint is on disk before it
+                _save(model, opt, epoch + 1, os.path.join(tc.out_dir, f"checkpoint_epoch{epoch + 1:04d}.pm2a"))
+        _save(model, opt, tc.epochs, os.path.join(tc.out_dir, "checkpoint_final.pm2a"))
     return opt, last_loss
 
 

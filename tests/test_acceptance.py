@@ -264,14 +264,12 @@ def test_criterion_07_overfit_regression(tmp_path):
 def test_criterion_08_pretraining_helps_linear_probe(tmp_path):
     t0 = time.perf_counter()
     out = tmp_path / "run"
-    assert cli(["pretrain", "--out", str(out), "--seed", "0",
-                "--threads", "1", "--test-mode"]) == 0
+    assert cli(["pretrain", "--out", str(out), "--seed", "0", "--test-mode"]) == 0
 
     def probe(extra):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            assert cli(["probe", *extra, "--seed", "0", "--threads", "1",
-                        "--out", str(tmp_path)]) == 0
+            assert cli(["probe", *extra, "--seed", "0", "--out", str(tmp_path)]) == 0
         return json.loads(buf.getvalue())["accuracy"]
 
     pre = probe(["--checkpoint", str(out / "checkpoint_final.pm2a")])
@@ -284,7 +282,7 @@ def test_criterion_08_pretraining_helps_linear_probe(tmp_path):
 
 
 def test_criterion_09_seeded_runs_bit_identical(tmp_path):
-    args = ["--seed", "5", "--threads", "1", "--test-mode",
+    args = ["--seed", "5", "--test-mode",
             "--data.total", "16", "--data.split_seed", "1",
             "--data.train_frac", "0.5", "--training.epochs", "2",
             "--training.batch_size", "4", "--training.warmup_epochs", "0"]

@@ -47,6 +47,18 @@ class TestPretrain:
         a = (tmp_path / "a" / "metrics.jsonl").read_bytes()
         assert a == (tmp_path / "b" / "metrics.jsonl").read_bytes()
 
+    def test_data_seed_draws_other_clouds(self, tmp_path):
+        from msmae.config import load_run_config
+        from msmae.data import make_dataset
+        assert run_pretrain(tmp_path / "s3", extra=["--data.seed", "3"]) == 0
+        replayed = load_run_config(tmp_path / "s3" / "config.ini")
+        assert replayed.data.seed == 3
+        seeded, _ = make_dataset(replayed.data)
+        overrides = list(zip((flag[2:] for flag in TINY_DATA[::2]), TINY_DATA[1::2]))
+        default, _ = make_dataset(load_run_config(None, overrides).data)
+        assert not np.array_equal(np.stack([r.points for r in seeded]),
+                                  np.stack([r.points for r in default]))
+
     def test_unknown_override_rejected(self, tmp_path, capsys):
         code = main(["pretrain", "--out", str(tmp_path / "x"), "--model.wings", "2"])
         assert code == 2

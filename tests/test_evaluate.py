@@ -174,6 +174,17 @@ class TestFinetune:
         assert 0.0 <= res.accuracy <= 1.0
         assert set(head) == set(E.head_shapes(TINY.dims[-1], 2))
 
+    def test_frozen_flags_restored_when_training_fails(self):
+        from dataclasses import replace
+        train, val = self.records()
+        model = M.Model.init(TINY, seed=0)
+        bad = [replace(r, label=2) for r in train]  # outside the 2 classes
+        ftc = E.FinetuneConfig(epochs=1, batch_size=4, freeze_encoder=True, seed=0,
+                               warmup_epochs=0)
+        with pytest.raises(ContractError):
+            E.finetune(model, bad, val, num_classes=2, ftc=ftc)
+        assert all(p.requires_grad for p in model.params.values())
+
     def test_unfrozen_encoder_moves(self):
         train, val = self.records()
         model = M.Model.init(TINY, seed=0)

@@ -224,6 +224,16 @@ class TestInterpolate:
         assert np.array_equal(coarse[idx_a], coarse[perm][idx_b])
         assert np.array_equal(w_a, w_b)
 
+    def test_stacked_sets_interpolate_within_each_set(self):
+        r = np.random.default_rng(134)
+        coarse = r.normal(size=(3, 6, 3))
+        fine = r.normal(size=(3, 10, 3))
+        feats = r.normal(size=(18, 4))
+        out = G.interpolate(feats, fine, coarse).data
+        for b in range(3):
+            one = G.interpolate(feats[6 * b:6 * (b + 1)], fine[b], coarse[b]).data
+            assert np.array_equal(out[10 * b:10 * (b + 1)], one)
+
     def test_grad_flows_to_feats(self):
         r = np.random.default_rng(133)
         coarse = r.normal(size=(5, 3))

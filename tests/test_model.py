@@ -108,8 +108,8 @@ class TestEmbed:
         repr_b = build_scales(shifted, list(SMALL.counts), list(SMALL.ks))
         from msmae.masking import MaskAssignment
         all_vis = MaskAssignment(visible=[np.ones(c, dtype=bool) for c in SMALL.counts])
-        ea = M.embed_tokens(m.params, SMALL, repr_a, all_vis)
-        eb = M.embed_tokens(m.params, SMALL, repr_b, all_vis)
+        ea = M.embed_tokens(m.params, SMALL, [repr_a], [all_vis])
+        eb = M.embed_tokens(m.params, SMALL, [repr_b], [all_vis])
         assert np.abs(ea.data - eb.data).max() < 1e-5
 
     def test_degenerate_neighborhood(self):
@@ -124,7 +124,7 @@ class TestEmbed:
             parent_points = [pts]
 
         from msmae.masking import MaskAssignment
-        out = M.embed_tokens(m.params, SMALL, FakeRepr, MaskAssignment(visible=[np.ones(2, bool)]))
+        out = M.embed_tokens(m.params, SMALL, [FakeRepr], [MaskAssignment(visible=[np.ones(2, bool)])])
         assert np.abs(out.data[0] - out.data[1]).max() == 0.0
 
 
@@ -135,10 +135,10 @@ class TestMerge:
         repr = build_scales(pts, list(SMALL.counts), list(SMALL.ks))
         from msmae.masking import MaskAssignment
         assignment = MaskAssignment(visible=[np.ones(c, dtype=bool) for c in SMALL.counts])
-        feats = M.embed_tokens(m.params, SMALL, repr, assignment)
-        out1 = M.merge_tokens(m.params, SMALL, repr, assignment, 2, feats)
+        feats = M.embed_tokens(m.params, SMALL, [repr], [assignment])
+        out1 = M.merge_tokens(m.params, SMALL, [repr], [assignment], 2, feats)
         repr.neighbor_index[1] = repr.neighbor_index[1][:, ::-1].copy()
-        out2 = M.merge_tokens(m.params, SMALL, repr, assignment, 2, feats)
+        out2 = M.merge_tokens(m.params, SMALL, [repr], [assignment], 2, feats)
         assert np.array_equal(out1.data, out2.data)
 
     def test_masked_neighbor_is_invariant_violation(self):
@@ -150,9 +150,9 @@ class TestMerge:
         vis[0][needed] = False  # hide a token scale 2 seed 0 requires
         from msmae.masking import MaskAssignment
         assignment = MaskAssignment(visible=vis)
-        feats_vis = M.embed_tokens(m.params, SMALL, repr, assignment)
+        feats_vis = M.embed_tokens(m.params, SMALL, [repr], [assignment])
         with pytest.raises(InvariantError):
-            M.merge_tokens(m.params, SMALL, repr, assignment, 2, feats_vis)
+            M.merge_tokens(m.params, SMALL, [repr], [assignment], 2, feats_vis)
 
     def test_inconsistent_ablation_masks_break_encoding(self):
         m = M.Model.init(SMALL, seed=0)
@@ -457,3 +457,44 @@ class TestCheckpoints:
         m = M.Model.init(SMALL, seed=0, dtype=np.float64)
         with pytest.raises(ContractError):
             save_checkpoint(tmp_path / "m.pm2a", SMALL, m.params)
+
+
+class TestPacking:
+    """A packed batch is the mean of its clouds run one at a time."""
+
+    def configs(self):
+        base = SMALL.__dict__
+        yield SMALL
+        for flag in ("local_attention", "hierarchical_encoder", "hierarchical_decoder",
+                     "skip_connections"):
+            yield M.ModelConfig(**{**base, flag: False})
+
+    def test_packed_loss_and_gradients_match_single_clouds(self):
+        clouds = [cloud(40 + s) for s in range(5)]
+        visible = [M.hierarchy(SMALL, c, rng=np.random.default_rng(50 + s))[1]
+                   for s, c in enumerate(clouds)]
+        # the batch must exercise padding: visible counts differ per scale
+        for i in (0, 1):
+            assert len({a.num_visible(i) for a in visible}) > 1
+        for cfg in self.configs():
+            m = M.Model.init(cfg, seed=2, dtype=np.float64)
+            names = list(M.param_shapes(cfg))
+            wrt = [m.params[n] for n in names]
+            losses, grads = [], []
+            for s, c in enumerate(clouds):
+                with T.Tape() as tape:
+                    loss = M.forward_pretrain(m.params, cfg, c, np.random.default_rng(50 + s))
+                losses.append(float(loss.data))
+                grads.append(tape.gradients(loss, wrt))
+            with T.Tape() as tape:
+                loss = M.forward_pretrain_batch(m.params, cfg, clouds,
+                                                [np.random.default_rng(50 + s) for s in range(5)])
+            packed = tape.gradients(loss, wrt)
+            want_loss = np.mean(losses)
+            assert abs(float(loss.data) - want_loss) <= 1e-9 * want_loss
+            want = [sum(g) / len(clouds) for g in zip(*grads)]
+            # relative to the largest gradient entry: some gradients (the key
+            # biases, which softmax cancels) are exactly zero up to rounding
+            scale = max(np.abs(w).max() for w in want)
+            for name, got, w in zip(names, packed, want):
+                assert np.abs(got - w).max() <= 1e-9 * scale, name

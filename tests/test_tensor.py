@@ -376,6 +376,30 @@ class TestTape:
         r = rng(20)
         fd_check(lambda x: T.reduce_sum(square(x)), [r.normal(size=(5,))])
 
+    def test_finished_tape_freed_without_cycle_collector(self):
+        import gc
+        import weakref
+        x = T.tensor(np.ones(3), requires_grad=True, dtype=np.float64)
+        gc.disable()
+        try:
+            with T.Tape() as tape:
+                loss = T.reduce_sum(T.mul(T.gelu(x), x))
+            (g,) = tape.gradients(loss, [x])
+            assert len(tape._nodes) == 3  # the record survives gradients()
+            ref = weakref.ref(tape)
+            del tape, loss
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert g.shape == (3,)
+
+    def test_backward_on_freed_tape_raises(self):
+        x = T.tensor(np.array(2.0), requires_grad=True, dtype=np.float64)
+        with T.Tape():
+            loss = T.mul(x, x)
+        with pytest.raises(ContractError):
+            T.backward(loss)
+
     def test_nested_tapes(self):
         x = T.tensor(np.array(3.0), requires_grad=True, dtype=np.float64)
         with T.Tape() as outer:

@@ -209,21 +209,6 @@ class TestTrainLoop:
             outs.append((out / "metrics.jsonl").read_text())
         assert outs[0] == outs[1]
 
-    def test_thread_count_does_not_change_results(self, tmp_path):
-        records = tiny_records(8)
-        texts = []
-        params = []
-        for run, threads in enumerate((1, 4)):
-            model = M.Model.init(TINY, seed=0)
-            out = tmp_path / f"t{run}"
-            out.mkdir()
-            TR.train(model, records, self.make_tc(out, threads=threads, epochs=2))
-            texts.append((out / "metrics.jsonl").read_text())
-            params.append({n: p.data.copy() for n, p in model.params.items()})
-        assert texts[0] == texts[1]
-        for n in params[0]:
-            assert np.array_equal(params[0][n], params[1][n])
-
     def test_loss_decreases_over_short_run(self, tmp_path):
         records = tiny_records(4)
         model = M.Model.init(TINY, seed=0)
@@ -269,6 +254,36 @@ class TestTrainLoop:
         for n in pa:
             assert np.array_equal(pa[n].data, pc[n].data), n
             assert np.array_equal(oa["m"][n], oc["m"][n]), n
+
+    def test_resume_in_place_leaves_metrics_of_uninterrupted_run(self, tmp_path):
+        records = tiny_records(12)  # 6 steps: 3 per epoch, 2 epochs
+        texts = []
+        for name in ("whole", "resumed"):
+            out = tmp_path / name
+            out.mkdir()
+            TR.train(M.Model.init(TINY, seed=0), records,
+                     self.make_tc(out, epochs=2, checkpoint_every=1))
+            texts.append((out / "metrics.jsonl").read_text())
+        # resume the second run in its own directory from its epoch-1
+        # checkpoint, as after a crash that left later lines behind
+        out = tmp_path / "resumed"
+        TR.train(M.Model.init(TINY, seed=1), records,
+                 self.make_tc(out, epochs=2, checkpoint_every=1),
+                 resume=out / "checkpoint_epoch0001.pm2a")
+        text = (out / "metrics.jsonl").read_text()
+        assert len(text.splitlines()) == 6
+        assert text == texts[0]
+
+    def test_resume_drops_metrics_from_a_cut_line_on(self, tmp_path):
+        records = tiny_records(8)
+        tc = self.make_tc(tmp_path, epochs=2, batch_size=4, checkpoint_every=1)
+        TR.train(M.Model.init(TINY, seed=0), records, tc)
+        whole = (tmp_path / "metrics.jsonl").read_text()
+        lines = whole.splitlines(keepends=True)
+        (tmp_path / "metrics.jsonl").write_text("".join(lines[:2]) + lines[2][:7])
+        TR.train(M.Model.init(TINY, seed=0), records, tc,
+                 resume=tmp_path / "checkpoint_epoch0001.pm2a")
+        assert (tmp_path / "metrics.jsonl").read_text() == whole
 
     def test_resume_from_exhausted_run_rejected(self, tmp_path):
         records = tiny_records(8)
