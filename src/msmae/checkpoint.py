@@ -4,7 +4,8 @@ Layout (all integers little-endian):
 
     magic   4 bytes  "PM2A"
     version u16      currently 1
-    config  u32 length + utf-8 key=value text (ModelConfig)
+    config  u32 length + utf-8 text, one key=value line per ModelConfig
+            field, values in the codec module's spelling
     params  u32 record count, then records
     optflag u8       0 = no optimizer section
     [step   u64, epoch u64, m-table, v-table]   when optflag == 1
@@ -21,11 +22,13 @@ from __future__ import annotations
 
 import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, ParseError
+from .codec import format_value, parse_value
+from .errors import ConfigError, ContractError, ParseError
 from .model import ModelConfig, param_shapes
 
 MAGIC = b"PM2A"
@@ -51,6 +54,34 @@ def _pack_record(name, arr):
 
 def _pack_table(items):
     return [struct.pack("<I", len(items))] + [_pack_record(name, arr) for name, arr in items]
+
+
+def model_text(config):
+    """The container's config text for a ModelConfig."""
+    return "\n".join(f"{f.name}={format_value(getattr(config, f.name))}" for f in fields(config))
+
+
+def parse_model_text(raw, path="model text", start=0):
+    """ModelConfig from config text bytes found at byte `start` of `path`.
+
+    A malformed line raises ParseError naming the byte it starts at. Keys
+    a text leaves out keep their ModelConfig defaults.
+    """
+    defaults = {f.name: f.default for f in fields(ModelConfig)}
+    values, off = {}, start
+    for line in raw.split(b"\n"):
+        try:
+            key, _, value = line.decode("utf-8").partition("=")
+            if key not in defaults:
+                raise ConfigError(f"unknown model config key {key!r}")
+            values[key] = parse_value(value, defaults[key])
+        except (UnicodeDecodeError, ConfigError) as exc:
+            raise ParseError(f"{path}: bad config line at byte {off}: {exc}") from None
+        off += len(line) + 1
+    try:
+        return ModelConfig(**values).validate()
+    except ConfigError as exc:
+        raise ParseError(f"{path}: config text at byte {start} is invalid: {exc}") from None
 
 
 class _Cursor:
@@ -106,7 +137,7 @@ def save_checkpoint(path, config, params, optimizer=None, aux=None):
     "v": {name: arr}} with float32 arrays matching the parameter shapes.
     aux is a free name->float32-array table (classifier heads and such).
     """
-    text = config.to_text().encode("utf-8")
+    text = model_text(config).encode("utf-8")
     parts = [MAGIC, struct.pack("<H", VERSION), struct.pack("<I", len(text)), text]
     names = list(param_shapes(config))
     missing = [n for n in names if n not in params]
@@ -148,8 +179,9 @@ def load_checkpoint(path):
     version = cur.u16("version")
     if version != VERSION:
         raise ParseError(f"{path}: unsupported container version {version} at byte 4")
-    text = cur.take(cur.u32("config length"), "config text").decode("utf-8")
-    config = ModelConfig.from_text(text)
+    size = cur.u32("config length")
+    start = cur.off
+    config = parse_model_text(cur.take(size, "config text"), path, start)
     table = _read_table(cur, "parameter")
     expected = param_shapes(config)
     if set(table) != set(expected):

@@ -15,13 +15,11 @@ import sys
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import (EvalConfig, check_data_kinds, config_digest, load_run_config,
-                     make_train_config, resolved_text)
+from .config import config_digest, load_run_config, make_train_config, resolved_text
 from .data import (DataConfig, load_pcb, load_xyz, make_dataset, make_records,
                    save_xyz, write_dataset_dir)
 from .errors import ConfigError, ContractError, NumericError, ParseError
-from .evaluate import (FinetuneConfig, extract_features, few_shot_eval, finetune,
-                       linear_probe)
+from .evaluate import extract_features, few_shot_eval, finetune, linear_probe
 from .masking import back_project, build_scales, independent_masks, sample_visible, verify_consistency
 from .model import Model
 from .rng import derive_rng
@@ -172,12 +170,9 @@ def cmd_finetune(args, rest):
     train_recs, val_recs = make_dataset(rc.data)
     num_classes = len({r.label for r in train_recs})
     e = rc.eval
-    ftc = FinetuneConfig(epochs=e.finetune_epochs, batch_size=e.finetune_batch_size,
-                         base_lr=e.finetune_lr, warmup_epochs=e.finetune_warmup_epochs,
-                         freeze_encoder=e.freeze_encoder, seed=rc.seed)
     _log(f"finetuning on {len(train_recs)} clouds, {num_classes} classes, "
          f"{'frozen' if e.freeze_encoder else 'end-to-end'}")
-    res, head = finetune(model, train_recs, val_recs, num_classes, ftc)
+    res, head = finetune(model, train_recs, val_recs, num_classes, e, seed=rc.seed)
     out_dir = _eval_out_dir(args)
     os.makedirs(out_dir, exist_ok=True)
     ckpt = os.path.join(out_dir, "checkpoint_finetuned.pm2a")
@@ -197,7 +192,6 @@ def cmd_gen_data(args, rest):
     if rest:
         raise ConfigError(f"unrecognized arguments: {rest}")
     kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-    check_data_kinds(kinds)
     dc = DataConfig(source="synthetic", kinds=kinds, per_class=args.per_class,
                     num_points=args.num_points, noise=args.noise, seed=args.seed,
                     normalize=False)

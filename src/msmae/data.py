@@ -20,10 +20,11 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import derived
 from .errors import ConfigError, ContractError, ParseError
 from .geometry import fps
 from .rng import derive_rng
@@ -132,39 +133,6 @@ _SURFACES = {
     "torus": _surface_torus,
     "plane": _surface_plane,
 }
-
-
-@dataclass
-class ShapeSpec:
-    kind: str
-    count: int
-    noise: float = 0.0
-    seed: int = 0
-    params: dict = field(default_factory=dict)
-
-    def validate(self):
-        if self.kind not in _SURFACES:
-            raise ConfigError(f"unknown shape kind {self.kind!r}; known: {', '.join(KINDS)}")
-        if self.count < 1:
-            raise ConfigError(f"count must be >= 1, got {self.count}")
-        if self.noise < 0:
-            raise ConfigError(f"noise must be >= 0, got {self.noise}")
-        return self
-
-
-def gen_synthetic(spec):
-    """Sample one shape; same spec (including seed) -> identical cloud.
-
-    Surface points are drawn first, then Gaussian noise of the configured
-    stddev is added (no noise draw happens at stddev 0, so e.g. a
-    noiseless plane keeps z identically zero).
-    """
-    spec.validate()
-    rng = derive_rng(spec.seed, "data", KINDS.index(spec.kind))
-    pts = _SURFACES[spec.kind](spec.count, rng, **spec.params)
-    if spec.noise > 0:
-        pts = pts + rng.normal(0.0, spec.noise, size=pts.shape)
-    return DatasetRecord(points=pts, label=KINDS.index(spec.kind), id=f"{spec.kind}-{spec.seed:08d}")
 
 
 def save_xyz(path, points, comment=None):
@@ -332,7 +300,7 @@ class DataConfig:
     kinds: tuple = KINDS
     per_class: int = 0  # 0 -> distribute `total` round-robin
     total: int = 512
-    num_points: int = 128
+    num_points: int = derived(128)  # a run takes [model] num_points
     noise: float = 0.02
     seed: int = 0
     split_seed: int = 7
@@ -348,6 +316,8 @@ class DataConfig:
                     raise ConfigError(f"unknown shape kind {k!r}; known: {', '.join(KINDS)}")
             if self.per_class < 0 or (self.per_class == 0 and self.total < len(self.kinds)):
                 raise ConfigError("need per_class >= 1 or total >= number of kinds")
+            if self.noise < 0:
+                raise ConfigError(f"noise must be >= 0, got {self.noise}")
         if not 0.0 < self.train_frac < 1.0:
             raise ConfigError(f"train_frac must lie in (0, 1), got {self.train_frac}")
         if self.num_points < 1:

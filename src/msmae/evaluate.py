@@ -6,13 +6,14 @@ involved. Features are standardized with train-split statistics first.
 Few-shot evaluation draws K-way (N support + 20 query)-per-class episodes
 from precomputed features. Finetuning puts a 3-layer MLP head on the
 pooled global feature and trains with the same optimizer machinery as
-pretraining, optionally with the encoder frozen.
+pretraining, optionally with the encoder frozen. EvalConfig holds the
+settings of all three: the run's [eval] section.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,6 +25,35 @@ from .training import OptimizerState, Schedule, adamw_step, lr_at
 
 
 @dataclass
+class EvalConfig:
+    probe_iters: int = 500
+    probe_lr: float = 0.1
+    probe_weight_decay: float = 1e-4
+    way: int = 5
+    shot: int = 10
+    runs: int = 10
+    queries: int = 20
+    finetune_epochs: int = 50
+    finetune_batch_size: int = 32
+    finetune_lr: float = 1e-4
+    finetune_warmup_epochs: int = 5
+    freeze_encoder: bool = False
+
+    def validate(self):
+        for name in ("probe_iters", "way", "shot", "runs", "queries",
+                     "finetune_epochs", "finetune_batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"eval.{name} must be >= 1")
+        if self.probe_lr <= 0 or self.finetune_lr <= 0:
+            raise ConfigError("eval learning rates must be positive")
+        if self.probe_weight_decay < 0:
+            raise ConfigError("eval.probe_weight_decay must be >= 0")
+        if self.finetune_warmup_epochs >= self.finetune_epochs:
+            raise ConfigError("eval.finetune_warmup_epochs must be < finetune_epochs")
+        return self
+
+
+@dataclass
 class ProbeResult:
     accuracy: float
     per_class: list
@@ -32,13 +62,18 @@ class ProbeResult:
     num_test: int
 
     def as_dict(self):
-        return {
-            "accuracy": self.accuracy,
-            "per_class": self.per_class,
-            "confusion": self.confusion,
-            "num_train": self.num_train,
-            "num_test": self.num_test,
-        }
+        return asdict(self)
+
+
+def _score(labels, pred, num_classes, num_train):
+    """ProbeResult of predicted against true class labels."""
+    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
+    np.add.at(confusion, (labels, pred), 1)
+    row = confusion.sum(axis=1)
+    per_class = np.where(row > 0, confusion.diagonal() / np.maximum(row, 1), 0.0)
+    return ProbeResult(accuracy=float(confusion.trace() / max(confusion.sum(), 1)),
+                       per_class=[float(x) for x in per_class], confusion=confusion.tolist(),
+                       num_train=num_train, num_test=len(labels))
 
 
 def _softmax(z):
@@ -79,14 +114,7 @@ def linear_probe(train_feats, train_labels, test_feats, test_labels,
         G = Xtr.T @ (_softmax(Xtr @ W) - onehot) / m
         G[:-1] += weight_decay * W[:-1]
         W -= lr * G
-    pred = (Xte @ W).argmax(axis=1)
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (yte, pred), 1)
-    row = confusion.sum(axis=1)
-    per_class = np.where(row > 0, confusion.diagonal() / np.maximum(row, 1), 0.0)
-    accuracy = float(confusion.trace() / max(confusion.sum(), 1))
-    return ProbeResult(accuracy=accuracy, per_class=[float(x) for x in per_class],
-                       confusion=confusion.tolist(), num_train=m, num_test=int(yte.shape[0]))
+    return _score(yte, (Xte @ W).argmax(axis=1), k, m)
 
 
 def extract_features(model, records):
@@ -179,61 +207,46 @@ def head_forward(head, feats):
     return T.add(T.matmul(h, head["head.w2"]), head["head.b2"])
 
 
-@dataclass
-class FinetuneConfig:
-    epochs: int = 50
-    batch_size: int = 32
-    base_lr: float = 1e-4
-    min_lr: float = 1e-6
-    warmup_epochs: int = 5
-    weight_decay: float = 0.05
-    freeze_encoder: bool = False
-    seed: int = 0
-
-    def validate(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
-        if self.warmup_epochs >= self.epochs:
-            raise ConfigError("warmup_epochs must be < epochs")
-        return self
-
-
-def finetune(model, train_records, val_records, num_classes, ftc):
+def finetune(model, train_records, val_records, num_classes, ec, seed=0):
     """Train the MLP head (and optionally the encoder) for classification.
 
-    Masking is off throughout: features come from the full cloud. With
+    The EvalConfig `ec` gives the finetune_* settings and freeze_encoder;
+    weight decay and the final learning rate are the OptimizerState and
+    Schedule defaults. seed draws the head and the shuffles. Masking
+    is off throughout: features come from the full cloud. With
     freeze_encoder the encoder never enters the tape and its parameters
     are bit-identical afterwards; features are then precomputed once.
     Returns (ProbeResult on the validation split, head parameter dict).
     """
-    ftc.validate()
+    ec.validate()
     model.config.validate()
+    batch_size, frozen = ec.finetune_batch_size, ec.freeze_encoder
     records = sorted(train_records, key=lambda r: r.id)
-    if len(records) < ftc.batch_size:
-        raise ConfigError(f"batch_size {ftc.batch_size} exceeds train size {len(records)}")
+    if len(records) < batch_size:
+        raise ConfigError(f"batch_size {batch_size} exceeds train size {len(records)}")
     feat_dim = model.config.dims[-1]
-    head = init_head(feat_dim, num_classes, ftc.seed)
-    if ftc.freeze_encoder:
+    head = init_head(feat_dim, num_classes, seed)
+    if frozen:
         for p in model.params.values():
             p.requires_grad = False
     try:
-        cached = extract_features(model, records) if ftc.freeze_encoder else None
-        trainable = dict(head) if ftc.freeze_encoder else {**model.params, **head}
+        cached = extract_features(model, records) if frozen else None
+        trainable = dict(head) if frozen else {**model.params, **head}
         names = list(trainable)
-        opt = OptimizerState.init(trainable, weight_decay=ftc.weight_decay)
-        steps_per_epoch = len(records) // ftc.batch_size
-        sched = Schedule(base_lr=ftc.base_lr, min_lr=ftc.min_lr, warmup_epochs=ftc.warmup_epochs,
-                         total_epochs=ftc.epochs, steps_per_epoch=steps_per_epoch)
+        opt = OptimizerState.init(trainable)
+        steps_per_epoch = len(records) // batch_size
+        sched = Schedule(base_lr=ec.finetune_lr, warmup_epochs=ec.finetune_warmup_epochs,
+                         total_epochs=ec.finetune_epochs, steps_per_epoch=steps_per_epoch)
         step = 0
-        for epoch in range(ftc.epochs):
-            order = derive_rng(ftc.seed, "shuffle", epoch).permutation(len(records))
+        for epoch in range(ec.finetune_epochs):
+            order = derive_rng(seed, "shuffle", epoch).permutation(len(records))
             for b in range(steps_per_epoch):
-                batch = order[b * ftc.batch_size:(b + 1) * ftc.batch_size]
+                batch = order[b * batch_size:(b + 1) * batch_size]
                 grad_sum = None
                 for i in batch:
                     rec = records[int(i)]
                     with T.Tape() as tape:
-                        if ftc.freeze_encoder:
+                        if frozen:
                             gf = T.tensor(cached[int(i)])
                         else:
                             gf = extract_global_feature(model.params, model.config, rec.points)
@@ -250,20 +263,10 @@ def finetune(model, train_records, val_records, num_classes, ftc):
                 adamw_step(trainable, gd, opt, lr_at(step + 1, sched))
                 step += 1
     finally:
-        if ftc.freeze_encoder:
+        if frozen:
             for p in model.params.values():
                 p.requires_grad = True
     val = sorted(val_records, key=lambda r: r.id)
-    feats = extract_features(model, val)
-    logits = head_forward(head, T.tensor(feats.astype(np.float32))).data
-    pred = logits.argmax(axis=1)
-    yte = np.asarray([r.label for r in val])
-    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(confusion, (yte, pred), 1)
-    row = confusion.sum(axis=1)
-    per_class = np.where(row > 0, confusion.diagonal() / np.maximum(row, 1), 0.0)
-    result = ProbeResult(accuracy=float(confusion.trace() / max(confusion.sum(), 1)),
-                         per_class=[float(x) for x in per_class],
-                         confusion=confusion.tolist(),
-                         num_train=len(records), num_test=len(val))
-    return result, head
+    logits = head_forward(head, T.tensor(extract_features(model, val).astype(np.float32))).data
+    labels = np.asarray([r.label for r in val])
+    return _score(labels, logits.argmax(axis=1), num_classes, len(records)), head

@@ -51,9 +51,6 @@ class MaskAssignment:
 
     visible: list
 
-    def masked(self, i):
-        return ~self.visible[i]
-
     def num_visible(self, i):
         return int(self.visible[i].sum())
 

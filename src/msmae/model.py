@@ -29,7 +29,7 @@ flat name->Tensor dict with a creation order fixed by param_shapes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,8 +57,8 @@ class ModelConfig:
     # ablation switches
     hierarchical_encoder: bool = True
     hierarchical_decoder: bool = True
-    skip_connections: bool = True
     local_attention: bool = True
+    skip_connections: bool = True
     multi_scale_mask: bool = True
 
     @property
@@ -108,37 +108,6 @@ class ModelConfig:
         if self.hierarchical_decoder:
             return [B] * (S - 1)
         return [(S - 1) * B] + [0] * (S - 2)
-
-    def to_text(self):
-        """Stable key=value serialization used inside checkpoints."""
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(repr(x) for x in v)
-            lines.append(f"{f.name}={v}")
-        return "\n".join(lines)
-
-    @classmethod
-    def from_text(cls, text):
-        kwargs = {}
-        types = {f.name: f for f in fields(cls)}
-        for line in text.strip().splitlines():
-            key, _, raw = line.partition("=")
-            if key not in types:
-                raise ConfigError(f"unknown model config key {key!r}")
-            default = getattr(cls, key, None)
-            if isinstance(default, tuple) or key in ("counts", "dims", "radii", "ks"):
-                parts = [p for p in raw.split(",") if p]
-                num = float if key == "radii" else int
-                kwargs[key] = tuple(num(p) for p in parts)
-            elif isinstance(default, bool):
-                kwargs[key] = raw == "True"
-            elif isinstance(default, float):
-                kwargs[key] = float(raw)
-            else:
-                kwargs[key] = int(raw)
-        return cls(**kwargs).validate()
 
 
 def _block_shapes(prefix, dim):
@@ -603,10 +572,3 @@ class Model:
 
     def global_feature(self, points):
         return extract_global_feature(self.params, self.config, points)
-
-    def parameters(self):
-        return self.params
-
-    def param_vector(self):
-        """Flat copy of all parameters in creation order (debug/test aid)."""
-        return np.concatenate([self.params[n].data.reshape(-1) for n in param_shapes(self.config)])

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
+from .codec import derived
 from .errors import ConfigError, ContractError, NumericError
 from .model import forward_pretrain_batch, param_shapes
 from .rng import derive_rng
@@ -143,17 +144,14 @@ class TrainConfig:
     min_lr: float = 1e-6
     warmup_epochs: int = 10
     weight_decay: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     grad_clip: float = 0.0  # 0 disables clipping
-    seed: int = 0
-    test_mode: bool = False  # zero wall_ms in metrics so runs diff clean
+    seed: int = derived(0)
+    test_mode: bool = derived(False)  # zero wall_ms in metrics so runs diff clean
     augment: bool = True
     scale_range: tuple = (0.8, 1.25)
     shift_range: float = 0.1
     checkpoint_every: int = 0  # epochs between checkpoints; 0 = final only
-    out_dir: str = "run"
+    out_dir: str = derived("run")
 
     def validate(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -206,8 +204,7 @@ def train(model, records, tc, resume=None):
     sched = Schedule(base_lr=tc.base_lr, min_lr=tc.min_lr, warmup_epochs=tc.warmup_epochs,
                      total_epochs=tc.epochs, steps_per_epoch=steps_per_epoch)
     names = list(param_shapes(model.config))
-    opt = OptimizerState.init(model.params, beta1=tc.beta1, beta2=tc.beta2,
-                              eps=tc.eps, weight_decay=tc.weight_decay)
+    opt = OptimizerState.init(model.params, weight_decay=tc.weight_decay)
     start_epoch = 0
     if resume is not None:
         config, params, packed, _ = load_checkpoint(resume)

@@ -6,11 +6,17 @@ import numpy as np
 import pytest
 
 from msmae.cli import main
-from msmae.data import ShapeSpec, gen_synthetic, save_xyz
+from msmae.data import DataConfig, make_records, save_xyz
 
 TINY_DATA = ["--data.total", "16", "--data.split_seed", "1", "--data.train_frac", "0.5"]
 TINY_TRAIN = ["--training.epochs", "1", "--training.batch_size", "4",
               "--training.warmup_epochs", "0"]
+
+
+def shape(kind, n, seed):
+    dc = DataConfig(kinds=(kind,), per_class=1, num_points=n, noise=0.01, seed=seed,
+                    normalize=False)
+    return make_records(dc)[0].points
 
 
 def run_pretrain(out, seed="3", extra=()):
@@ -104,6 +110,13 @@ class TestProbe:
         assert code == 2
         assert "magic" in capsys.readouterr().err
 
+    def test_bad_config_text_in_checkpoint(self, trained, tmp_path, capsys):
+        bad = tmp_path / "bad.pm2a"
+        bad.write_bytes(trained.read_bytes().replace(b"\nheads=4\n", b"\nheads=x\n"))
+        code = main(["probe", "--checkpoint", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"byte {bad.read_bytes().index(b'heads=x')}" in capsys.readouterr().err
+
     def test_neither_checkpoint_nor_random_init(self, tmp_path, capsys):
         code = main(["probe", "--out", str(tmp_path), *TINY_DATA])
         assert code == 2
@@ -172,10 +185,15 @@ class TestGenData:
         assert code == 2
         assert "dodecahedron" in capsys.readouterr().err
 
+    def test_negative_noise_rejected(self, tmp_path, capsys):
+        code = main(["gen-data", "--out", str(tmp_path / "ds"), "--noise", "-0.1"])
+        assert code == 2
+        assert "noise" in capsys.readouterr().err
+
 
 class TestInspectMask:
     def make_cloud(self, tmp_path, n=128):
-        pts = gen_synthetic(ShapeSpec(kind="torus", count=n, noise=0.01, seed=3)).points
+        pts = shape("torus", n, seed=3)
         path = tmp_path / "cloud.xyz"
         save_xyz(path, pts)
         return path
@@ -208,7 +226,7 @@ class TestInspectMask:
 
     def test_pcb_input(self, tmp_path, capsys):
         from msmae.data import save_pcb
-        pts = gen_synthetic(ShapeSpec(kind="sphere", count=128, noise=0.01, seed=4)).points
+        pts = shape("sphere", 128, seed=4)
         path = tmp_path / "cloud.pcb"
         save_pcb(path, pts)
         code = main(["inspect-mask", "--input", str(path), "--out", str(tmp_path / "m"),

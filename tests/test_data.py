@@ -8,45 +8,52 @@ from msmae.errors import ConfigError, ContractError, ParseError
 from msmae.rng import derive_rng
 
 
+def shape(kind, n, noise=0.0, seed=0):
+    """One raw cloud of `kind` from the dataset generator."""
+    dc = D.DataConfig(kinds=(kind,), per_class=1, num_points=n, noise=noise, seed=seed,
+                      normalize=False)
+    return D.make_records(dc)[0].points
+
+
 class TestGenerators:
     def test_all_kinds_produce_shape(self):
         for kind in D.KINDS:
-            pts = D.gen_synthetic(D.ShapeSpec(kind=kind, count=200, noise=0.0, seed=5)).points
+            pts = shape(kind, 200, seed=5)
             assert pts.shape == (200, 3)
             assert np.isfinite(pts).all()
 
     def test_deterministic_per_seed(self):
         for kind in D.KINDS:
-            a = D.gen_synthetic(D.ShapeSpec(kind=kind, count=64, noise=0.02, seed=9)).points
-            b = D.gen_synthetic(D.ShapeSpec(kind=kind, count=64, noise=0.02, seed=9)).points
-            c = D.gen_synthetic(D.ShapeSpec(kind=kind, count=64, noise=0.02, seed=10)).points
+            a = shape(kind, 64, noise=0.02, seed=9)
+            b = shape(kind, 64, noise=0.02, seed=9)
+            c = shape(kind, 64, noise=0.02, seed=10)
             assert np.array_equal(a, b)
             assert not np.array_equal(a, c)
 
     def test_sphere_points_on_unit_shell(self):
-        pts = D.gen_synthetic(D.ShapeSpec(kind="sphere", count=500, noise=0.0, seed=1)).points
+        pts = shape("sphere", 500, seed=1)
         norms = np.linalg.norm(pts, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-12
 
     def test_noiseless_plane_is_flat(self):
-        pts = D.gen_synthetic(D.ShapeSpec(kind="plane", count=300, noise=0.0, seed=2)).points
+        pts = shape("plane", 300, seed=2)
         assert np.abs(pts[:, 2]).max() == 0.0
         assert np.abs(pts[:, :2]).max() <= 1.0
 
     def test_cube_surface_on_boundary(self):
-        pts = D.gen_synthetic(D.ShapeSpec(kind="cube-surface", count=400, noise=0.0, seed=3)).points
+        pts = shape("cube-surface", 400, seed=3)
         on_face = np.isclose(np.abs(pts), 1.0).any(axis=1)
         assert on_face.all()
         assert np.abs(pts).max() <= 1.0 + 1e-12
 
     def test_torus_radii(self):
-        pts = D.gen_synthetic(D.ShapeSpec(kind="torus", count=400, noise=0.0, seed=4)).points
+        pts = shape("torus", 400, seed=4)
         ring = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2)
         minor = np.sqrt((ring - 0.8) ** 2 + pts[:, 2] ** 2)
         assert np.abs(minor - 0.3).max() < 1e-9
 
     def test_cylinder_bounds(self):
-        pts = D.gen_synthetic(D.ShapeSpec(kind="cylinder", count=400, noise=0.0, seed=6)).points
+        pts = shape("cylinder", 400, seed=6)
         r = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2)
         assert r.max() <= 0.5 + 1e-12
         assert np.abs(pts[:, 2]).max() <= 1.0 + 1e-12
@@ -55,16 +62,16 @@ class TestGenerators:
         assert (lateral | caps).all()
 
     def test_noise_is_additive_gaussian(self):
-        clean = D.gen_synthetic(D.ShapeSpec(kind="sphere", count=1000, noise=0.0, seed=7)).points
-        noisy = D.gen_synthetic(D.ShapeSpec(kind="sphere", count=1000, noise=0.05, seed=7)).points
+        clean = shape("sphere", 1000, seed=7)
+        noisy = shape("sphere", 1000, noise=0.05, seed=7)
         resid = noisy - clean
         assert 0.03 < resid.std() < 0.07
 
     def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError, match="moebius"):
+            shape("moebius", 10)
         with pytest.raises(ConfigError):
-            D.ShapeSpec(kind="moebius", count=10, noise=0.0, seed=0).validate()
-        with pytest.raises(ConfigError):
-            D.ShapeSpec(kind="sphere", count=0, noise=0.0, seed=0).validate()
+            shape("sphere", 0)
 
 
 class TestNormalize:

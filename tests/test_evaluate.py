@@ -165,9 +165,9 @@ class TestFinetune:
         train, val = self.records()
         model = M.Model.init(TINY, seed=0)
         before = {n: p.data.copy() for n, p in model.params.items()}
-        ftc = E.FinetuneConfig(epochs=3, batch_size=4, freeze_encoder=True, seed=0,
-                               warmup_epochs=0)
-        res, head = E.finetune(model, train, val, num_classes=2, ftc=ftc)
+        ec = E.EvalConfig(finetune_epochs=3, finetune_batch_size=4,
+                          finetune_warmup_epochs=0, freeze_encoder=True)
+        res, head = E.finetune(model, train, val, num_classes=2, ec=ec)
         for n, p in model.params.items():
             assert np.array_equal(p.data, before[n]), n
             assert p.requires_grad  # restored after the frozen run
@@ -179,19 +179,19 @@ class TestFinetune:
         train, val = self.records()
         model = M.Model.init(TINY, seed=0)
         bad = [replace(r, label=2) for r in train]  # outside the 2 classes
-        ftc = E.FinetuneConfig(epochs=1, batch_size=4, freeze_encoder=True, seed=0,
-                               warmup_epochs=0)
+        ec = E.EvalConfig(finetune_epochs=1, finetune_batch_size=4,
+                          finetune_warmup_epochs=0, freeze_encoder=True)
         with pytest.raises(ContractError):
-            E.finetune(model, bad, val, num_classes=2, ftc=ftc)
+            E.finetune(model, bad, val, num_classes=2, ec=ec)
         assert all(p.requires_grad for p in model.params.values())
 
     def test_unfrozen_encoder_moves(self):
         train, val = self.records()
         model = M.Model.init(TINY, seed=0)
         before = {n: p.data.copy() for n, p in model.params.items()}
-        ftc = E.FinetuneConfig(epochs=2, batch_size=4, freeze_encoder=False, seed=0,
-                               warmup_epochs=0)
-        E.finetune(model, train, val, num_classes=2, ftc=ftc)
+        ec = E.EvalConfig(finetune_epochs=2, finetune_batch_size=4,
+                          finetune_warmup_epochs=0, freeze_encoder=False)
+        E.finetune(model, train, val, num_classes=2, ec=ec)
         moved = sum(not np.array_equal(p.data, before[n]) for n, p in model.params.items())
         assert moved > len(before) // 2
 
@@ -200,9 +200,9 @@ class TestFinetune:
         accs = []
         for _ in range(2):
             model = M.Model.init(TINY, seed=0)
-            ftc = E.FinetuneConfig(epochs=2, batch_size=4, freeze_encoder=True, seed=0,
-                                   warmup_epochs=0)
-            res, _ = E.finetune(model, train, val, num_classes=2, ftc=ftc)
+            ec = E.EvalConfig(finetune_epochs=2, finetune_batch_size=4,
+                              finetune_warmup_epochs=0, freeze_encoder=True)
+            res, _ = E.finetune(model, train, val, num_classes=2, ec=ec)
             accs.append(res.accuracy)
         assert accs[0] == accs[1]
 

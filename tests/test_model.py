@@ -18,6 +18,16 @@ def cloud(seed, n=128, spread=0.6):
     return np.random.default_rng(seed).normal(size=(n, 3)) * spread
 
 
+def set_config_line(path, key, value):
+    """Rewrite the `key=` line of a checkpoint's config text to `key=value`."""
+    blob = path.read_bytes()
+    size = int.from_bytes(blob[6:10], "little")
+    lines = [key + b"=" + value if line.startswith(key + b"=") else line
+             for line in blob[10:10 + size].split(b"\n")]
+    text = b"\n".join(lines)
+    path.write_bytes(blob[:6] + len(text).to_bytes(4, "little") + text + blob[10 + size:])
+
+
 class TestConfig:
     def test_default_is_valid(self):
         M.ModelConfig().validate()
@@ -38,9 +48,10 @@ class TestConfig:
                 M.ModelConfig(**kw).validate()
 
     def test_text_round_trip(self):
+        from msmae.checkpoint import model_text, parse_model_text
         cfg = M.ModelConfig(heads=3, mask_ratio=0.6, skip_connections=False)
-        assert M.ModelConfig.from_text(cfg.to_text()) == cfg
-        assert M.ModelConfig.from_text(SMALL.to_text()) == SMALL
+        assert parse_model_text(model_text(cfg).encode()) == cfg
+        assert parse_model_text(model_text(SMALL).encode()) == SMALL
 
     def test_block_plans(self):
         assert SMALL.encoder_block_plan() == [1, 1, 1]
@@ -450,6 +461,26 @@ class TestCheckpoints:
         path.write_bytes(bytes(blob))
         with pytest.raises(ParseError):
             load_checkpoint(path)
+
+    def test_bad_config_value_names_its_byte(self, tmp_path):
+        from msmae.checkpoint import load_checkpoint, save_checkpoint
+        from msmae.errors import ParseError
+        path = tmp_path / "model.pm2a"
+        save_checkpoint(path, SMALL, M.Model.init(SMALL, seed=0).params)
+        set_config_line(path, b"heads", b"x")
+        with pytest.raises(ParseError) as exc:
+            load_checkpoint(path)
+        assert f"byte {path.read_bytes().index(b'heads=x')}" in str(exc.value)
+
+    def test_lowercase_bools_in_config_text(self, tmp_path):
+        from msmae.checkpoint import load_checkpoint, save_checkpoint
+        path = tmp_path / "model.pm2a"
+        save_checkpoint(path, SMALL, M.Model.init(SMALL, seed=0).params)
+        set_config_line(path, b"local_attention", b"true")
+        set_config_line(path, b"multi_scale_mask", b"True")
+        cfg, _, _, _ = load_checkpoint(path)
+        assert cfg.local_attention is True and cfg.multi_scale_mask is True
+        assert cfg == SMALL
 
     def test_float64_params_rejected(self, tmp_path):
         from msmae.checkpoint import save_checkpoint
