@@ -275,12 +275,13 @@ def _build_parser():
     p.add_argument("--freeze-encoder", action="store_true", dest="freeze_encoder")
     p.set_defaults(fn=cmd_finetune)
 
+    data = DataConfig()
     p = sub.add_parser("gen-data", help="write a synthetic PCB dataset directory")
     p.add_argument("--out", required=True)
-    p.add_argument("--kinds", default="sphere,cube-surface,cylinder,torus,plane")
+    p.add_argument("--kinds", default=",".join(data.kinds))
     p.add_argument("--per-class", type=int, default=8, dest="per_class")
-    p.add_argument("--num-points", type=int, default=128, dest="num_points")
-    p.add_argument("--noise", type=float, default=0.02)
+    p.add_argument("--num-points", type=int, default=data.num_points, dest="num_points")
+    p.add_argument("--noise", type=float, default=data.noise)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_gen_data)
 

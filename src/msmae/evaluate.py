@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError
-from .model import extract_global_feature
+from .model import extract_global_feature, hierarchy
 from .rng import derive_rng
 from .training import OptimizerState, Schedule, adamw_step, lr_at
 
@@ -117,9 +117,22 @@ def linear_probe(train_feats, train_labels, test_feats, test_labels,
     return _score(yte, (Xte @ W).argmax(axis=1), k, m)
 
 
+HIERARCHY_CHUNK = 32  # records whose hierarchies are built in one stacked call
+
+
 def extract_features(model, records):
-    """Global feature per record, stacked (M, C_S); no masking, no tape."""
-    return np.stack([model.global_feature(r.points).data for r in records])
+    """Global feature per record, stacked (M, C_S); no masking, no tape.
+
+    Hierarchies are built for HIERARCHY_CHUNK consecutive records at a
+    time, then each record goes through Model.global_feature with its
+    prebuilt scales.
+    """
+    feats = []
+    for start in range(0, len(records), HIERARCHY_CHUNK):
+        part = records[start:start + HIERARCHY_CHUNK]
+        reprs, _ = hierarchy(model.config, [r.points for r in part], mask_ratio=0.0)
+        feats += [model.global_feature(r.points, s).data for r, s in zip(part, reprs)]
+    return np.stack(feats)
 
 
 @dataclass
@@ -242,14 +255,18 @@ def finetune(model, train_records, val_records, num_classes, ec, seed=0):
             order = derive_rng(seed, "shuffle", epoch).permutation(len(records))
             for b in range(steps_per_epoch):
                 batch = order[b * batch_size:(b + 1) * batch_size]
+                if not frozen:
+                    reprs, _ = hierarchy(model.config, [records[int(i)].points for i in batch],
+                                         mask_ratio=0.0)
                 grad_sum = None
-                for i in batch:
+                for j, i in enumerate(batch):
                     rec = records[int(i)]
                     with T.Tape() as tape:
                         if frozen:
                             gf = T.tensor(cached[int(i)])
                         else:
-                            gf = extract_global_feature(model.params, model.config, rec.points)
+                            gf = extract_global_feature(model.params, model.config, rec.points,
+                                                        reprs[j])
                         logits = T.reshape(head_forward(head, T.reshape(gf, (1, feat_dim))),
                                            (1, num_classes))
                         loss = T.softmax_cross_entropy(logits, np.asarray([rec.label]))

@@ -2,9 +2,18 @@
 
 Index selection (farthest point sampling, k nearest neighbors) is fully
 tie-broken: distance first, then lexicographically smallest coordinate,
-then smallest index. Selection therefore depends only on the multiset of
-coordinates, which makes the selected coordinates invariant to input
-permutation. All selection math runs in float64 regardless of input dtype.
+then smallest index. Both kernels get that tie-break from one
+lexicographic pre-sort of each cloud's points (lex_order): on points in
+(x, y, z, index) order, argmax and a stable argsort return the first of
+equal scores, which is exactly the smallest coordinate tuple, then index.
+Selection therefore depends only on the multiset of coordinates, which
+makes the selected coordinates invariant to input permutation. All
+selection math runs in float64 regardless of input dtype.
+
+fps, knn, radius_mask, interp_weights and interpolate take one cloud
+(n, 3) or a stack of B clouds with a shared point count (B, n, 3); the
+one-cloud call is the B=1 case of the same code, and a stacked call
+returns exactly what B one-cloud calls would.
 """
 
 from __future__ import annotations
@@ -14,30 +23,55 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, ShapeError
 
+_KNN_BLOCK = 1 << 15  # distance-table entries knn holds at once (256 KiB of float64)
 
-def _check_points(p, name):
+
+def as_points(p, name):
+    """p as float64 coordinates of one cloud (n, 3) or of a stack of clouds
+    with a shared point count (B, n, 3); anything else, an empty or a
+    non-finite set is rejected."""
+    if isinstance(p, (list, tuple)) and len({np.shape(c) for c in p}) > 1:
+        raise ContractError(f"{name} is ragged: stacked clouds must share a point count")
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 2 or p.shape[1] != 3:
-        raise ShapeError(f"{name} must be (n, 3), got {p.shape}")
-    if p.shape[0] == 0:
+    if p.ndim not in (2, 3) or p.shape[-1] != 3:
+        raise ShapeError(f"{name} must be (n, 3) or (B, n, 3), got {p.shape}")
+    if p.size == 0:
         raise ContractError(f"{name} is empty")
     if not np.isfinite(p).all():
         raise ContractError(f"{name} contains non-finite coordinates")
     return p
 
 
+def lex_order(points):
+    """Per cloud, the permutation that sorts points by (x, y, z, index).
+
+    (n, 3) gives (n,) and a stack (B, n, 3) gives (B, n). lexsort is
+    stable, so equal coordinate tuples keep their index order.
+    """
+    p = np.asarray(points, dtype=np.float64)
+    return np.lexsort((p[..., 2], p[..., 1], p[..., 0]), axis=-1)
+
+
 def pairwise_sq_dists(a, b):
-    """Squared euclidean distances, shape (len(a), len(b)), float64.
+    """Squared euclidean distances, float64: (Q, 3) against (N, 3) gives
+    (Q, N), stacks (B, Q, 3) against (B, N, 3) give (B, Q, N).
 
     Computed from explicit differences rather than the expanded
     a^2 + b^2 - 2ab form, so exact ties stay exact, and accumulated
-    component by component so the sum order is fixed (einsum may fuse
-    or reorder, which shifts near-ties by an ulp).
+    x + y + z in that fixed order (einsum may fuse or reorder, which
+    shifts near-ties by an ulp). Each coordinate plane is differenced on
+    its own, so no (Q, N, 3) difference array is formed.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    diff = a[:, None, :] - b[None, :, :]
-    return _sq_norm(diff)
+    d = np.subtract(a[..., :, None, 0], b[..., None, :, 0])
+    d *= d
+    plane = np.empty_like(d)
+    for c in (1, 2):
+        np.subtract(a[..., :, None, c], b[..., None, :, c], out=plane)
+        plane *= plane
+        d += plane
+    return d
 
 
 def _sq_norm(diff):
@@ -45,60 +79,81 @@ def _sq_norm(diff):
     return diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2
 
 
-def _pick_max(pts, score):
-    """Index of the maximal score; ties resolved by coordinate, then index."""
-    best = score.max()
-    cand = np.flatnonzero(score == best)
-    if cand.size == 1:
-        return int(cand[0])
-    c = pts[cand]
-    order = np.lexsort((cand, c[:, 2], c[:, 1], c[:, 0]))
-    return int(cand[order[0]])
+def _sq_planes(diff):
+    """Sum of squares over the first axis of (3, ...) coordinate planes,
+    fixed x + y + z order."""
+    sq = np.square(diff)
+    return sq[0] + sq[1] + sq[2]
 
 
-def fps(xyz, m):
+def _lex_sorted(stack, order):
+    """The clouds of a (B, n, 3) stack in lex_order, and that order (B, n);
+    order is computed unless the caller passes it."""
+    B, n, _ = stack.shape
+    order = (lex_order(stack) if order is None else np.asarray(order)).reshape(B, n)
+    return stack[np.arange(B)[:, None], order], order
+
+
+def fps(xyz, m, order=None):
     """Farthest point sampling: m indices into xyz, distinct, in pick order.
 
     Starts from the point farthest from the centroid; each later pick
-    maximizes the distance to the already selected set. Deterministic for
-    identical input bits.
+    maximizes the distance to the already selected set. One cloud (n, 3)
+    gives (m,); a stack (B, n, 3) gives (B, m), every cloud picked in the
+    same numpy operations. order, when given, must be lex_order(xyz).
+    Deterministic for identical input bits.
     """
-    pts = _check_points(xyz, "xyz")
-    n = pts.shape[0]
+    pts = as_points(xyz, "xyz")
+    stack = pts.reshape(-1, *pts.shape[-2:])
+    B, n, _ = stack.shape
     if not 1 <= m <= n:
         raise ContractError(f"fps wants 1 <= m <= {n}, got m={m}")
-    sel = np.empty(m, dtype=np.int64)
-    cent = pts.mean(axis=0)
-    d0 = _sq_norm(pts - cent)
-    cur = _pick_max(pts, d0)
-    sel[0] = cur
-    dmin = _sq_norm(pts - pts[cur])
-    dmin[cur] = -1.0  # selected points never re-qualify
+    srt, order = _lex_sorted(stack, order)
+    grid = np.ascontiguousarray(srt.transpose(2, 0, 1))  # coordinate planes (3, B, n)
+    points = grid.reshape(3, B * n, 1)  # the same, clouds end to end
+    # the centroid sums points in input order, so its bits match a plain mean
+    score = _sq_planes(grid - stack.mean(axis=1).T[:, :, None])
+    offsets = np.arange(B) * n
+    # picks as positions into the sorted clouds, end to end; argmax takes the
+    # first maximum, which in sorted order is the smallest (x, y, z, index)
+    sel = np.empty((B, m), dtype=np.int64)
+    sel[:, 0] = cur = score.argmax(axis=1) + offsets
+    dmin = np.full((B, n), np.inf)
     for i in range(1, m):
-        cur = _pick_max(pts, dmin)
-        sel[i] = cur
-        d = _sq_norm(pts - pts[cur])
-        np.minimum(dmin, d, out=dmin)
-        dmin[cur] = -1.0
-    return sel
+        np.minimum(dmin, _sq_planes(grid - points[:, cur]), out=dmin)
+        dmin.reshape(-1)[cur] = -1.0  # selected points never re-qualify
+        sel[:, i] = cur = dmin.argmax(axis=1) + offsets
+    return order.reshape(-1)[sel].reshape(pts.shape[:-2] + (m,))
 
 
-def knn(query, source, k):
-    """Indices of the k nearest source points per query row, shape (Q, k).
+def knn(query, source, k, order=None):
+    """Indices of the k nearest source points per query row.
 
+    (Q, 3) queries over (N, 3) sources give (Q, k); stacks (B, Q, 3) over
+    (B, N, 3) give (B, Q, k), each cloud's queries searching that cloud.
     Columns are ordered nearest first. Equidistant candidates fall back to
-    the smaller coordinate tuple, then the smaller source index, via one
-    lexicographic pre-sort of the sources plus a stable argsort.
+    the smaller coordinate tuple, then the smaller source index: distances
+    to the sources in lex_order (order, when given, must be
+    lex_order(source)) go through a stable selection. Distance tables are
+    built for as many clouds at a time as fit in _KNN_BLOCK entries (at
+    least one), which bounds the memory of a stack.
     """
-    q = _check_points(query, "query")
-    s = _check_points(source, "source")
-    n = s.shape[0]
+    q = as_points(query, "query")
+    s = as_points(source, "source")
+    if q.shape[:-2] != s.shape[:-2]:
+        raise ShapeError(f"query {q.shape} and source {s.shape} stack different clouds")
+    qs, ss = q.reshape(-1, *q.shape[-2:]), s.reshape(-1, *s.shape[-2:])
+    B, nq, n = qs.shape[0], qs.shape[1], ss.shape[1]
     if not 1 <= k <= n:
         raise ContractError(f"knn wants 1 <= k <= {n}, got k={k}")
-    order = np.lexsort((np.arange(n), s[:, 2], s[:, 1], s[:, 0]))
-    d = pairwise_sq_dists(q, s[order])
-    nn = _smallest_k_stable(d, k)
-    return order[nn]
+    srt, order = _lex_sorted(ss, order)
+    out = np.empty((B, nq, k), dtype=np.int64)
+    step = max(1, _KNN_BLOCK // (nq * n))
+    for b in range(0, B, step):
+        d = pairwise_sq_dists(qs[b:b + step], srt[b:b + step])
+        nn = _smallest_k_stable(d.reshape(-1, n), k).reshape(d.shape[0], nq, k)
+        out[b:b + step] = order[np.arange(b, b + d.shape[0])[:, None, None], nn]
+    return out.reshape(q.shape[:-1] + (k,))
 
 
 def _smallest_k_stable(d, k):
@@ -124,8 +179,9 @@ def _smallest_k_stable(d, k):
 
 
 def radius_mask(xyz, radius):
-    """Boolean (n, n) adjacency: pairs at distance <= radius, diagonal true."""
-    pts = _check_points(xyz, "xyz")
+    """Boolean adjacency, pairs at distance <= radius, diagonal true:
+    (n, n) for one cloud, (B, n, n) for a stack."""
+    pts = as_points(xyz, "xyz")
     r = float(radius)
     if not np.isfinite(r) or r <= 0.0:
         raise ContractError(f"radius must be positive and finite, got {radius}")
@@ -137,16 +193,16 @@ def interp_weights(fine_xyz, coarse_xyz, k=3, eps=1e-8):
     nearest coarse points.
 
     Returns (idx, w): idx is (F, k) into coarse_xyz, w is (F, k) float64
-    with rows summing to one. A fine point sitting exactly on a coarse
-    point still gets finite weights through eps.
+    with rows summing to one; stacks (B, F, 3) and (B, M, 3) give (B, F, k)
+    each. A fine point sitting exactly on a coarse point still gets finite
+    weights through eps.
     """
-    fine = _check_points(fine_xyz, "fine_xyz")
-    coarse = _check_points(coarse_xyz, "coarse_xyz")
+    fine = as_points(fine_xyz, "fine_xyz")
+    coarse = as_points(coarse_xyz, "coarse_xyz")
     idx = knn(fine, coarse, k)
-    diff = fine[:, None, :] - coarse[idx]
-    d = _sq_norm(diff)
-    w = 1.0 / (d + eps)
-    w = w / w.sum(axis=1, keepdims=True)
+    near = np.take_along_axis(coarse[..., None, :, :], idx[..., None], axis=-2)
+    w = 1.0 / (_sq_norm(fine[..., :, None, :] - near) + eps)
+    w = w / w.sum(axis=-1, keepdims=True)
     return idx, w
 
 
@@ -167,10 +223,10 @@ def interpolate(feats, fine_xyz, coarse_xyz, k=3, eps=1e-8):
     sets, m = coarse.shape[:2]
     if feats.ndim != 2 or feats.shape[0] != sets * m or fine.shape[0] != sets:
         raise ShapeError(f"feats {feats.shape} do not align with coarse points {coarse.shape}")
-    idx, w = zip(*(interp_weights(f, c, k=k, eps=eps) for f, c in zip(fine, coarse)))
-    rows = np.concatenate([i + b * m for b, i in enumerate(idx)])
+    idx, w = interp_weights(fine, coarse, k=k, eps=eps)
+    rows = (idx + (np.arange(sets) * m)[:, None, None]).reshape(-1, k)
     gathered = T.gather(feats, rows)  # (B*F, k, C)
-    weighted = T.mul(gathered, np.concatenate(w)[:, :, None])
+    weighted = T.mul(gathered, w.reshape(-1, k)[:, :, None])
     return T.reduce_sum(weighted, axis=1)
 
 

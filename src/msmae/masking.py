@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .geometry import fps, knn
+from .geometry import as_points, fps, knn, lex_order
 
 
 @dataclass
@@ -58,18 +58,20 @@ class MaskAssignment:
 def build_scales(points, counts, ks):
     """Downsample-and-group chain producing the S-scale representation.
 
+    points is one cloud (N, 3), which gives one MultiScaleRepr, or a stack
+    of clouds with a shared point count (B, N, 3), which gives a list of B,
+    each equal to a one-cloud call: every scale sorts the stacked clouds
+    once (lex_order) and runs one fps and one knn over all of them.
     counts must be strictly decreasing and below the input size; each k
     must fit within the scale being grouped. Violations are configuration
     errors, since both come straight from the model config.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ConfigError(f"points must be (N, 3), got {pts.shape}")
+    pts = as_points(points, "points")
     if len(counts) != len(ks):
         raise ConfigError(f"counts {list(counts)} and ks {list(ks)} differ in length")
     if len(counts) == 0:
         raise ConfigError("at least one scale is required")
-    prev_n = pts.shape[0]
+    prev_n = pts.shape[-2]
     for i, (n_i, k_i) in enumerate(zip(counts, ks)):
         if n_i >= prev_n:
             raise ConfigError(f"scale sizes must strictly decrease: scale {i + 1} has {n_i} >= {prev_n}")
@@ -78,16 +80,22 @@ def build_scales(points, counts, ks):
         if not 1 <= k_i <= prev_n:
             raise ConfigError(f"scale {i + 1} neighborhood k={k_i} exceeds parent size {prev_n}")
         prev_n = n_i
+    stack = pts.reshape(-1, *pts.shape[-2:])
     seeds, tables, parents = [], [], []
-    src = pts
+    src = stack
     for n_i, k_i in zip(counts, ks):
-        sel = fps(src, n_i)
-        ctr = src[sel]
-        tables.append(knn(ctr, src, k_i))
+        order = lex_order(src)
+        sel = fps(src, n_i, order=order)
+        ctr = np.take_along_axis(src, sel[:, :, None], axis=1)
+        tables.append(knn(ctr, src, k_i, order=order))
         seeds.append(ctr)
         parents.append(src)
         src = ctr
-    return MultiScaleRepr(input_points=pts, seeds=seeds, neighbor_index=tables, parent_points=parents)
+    reprs = [MultiScaleRepr(input_points=stack[b], seeds=[s[b] for s in seeds],
+                            neighbor_index=[t[b] for t in tables],
+                            parent_points=[p[b] for p in parents])
+             for b in range(stack.shape[0])]
+    return reprs if pts.ndim == 3 else reprs[0]
 
 
 def sample_visible(n, mask_ratio, rng):

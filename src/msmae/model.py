@@ -15,12 +15,15 @@ through a 2C->C linear. The head reconstructs, for each masked
 second-scale token, its k_2 finest-scale neighbors as seed-relative
 offsets under a symmetric squared-l2 Chamfer loss.
 
-Batches: each cloud's hierarchy and mask are built on their own in numpy
-(hierarchy); the *_batch functions then run B clouds at once with their
-token rows packed cloud after cloud, so every linear layer, norm and MLP
-runs once over all rows. Attention stays within a cloud through a padded
-(B, n, n) layout (Padding). encode, decode, reconstruct and
-forward_pretrain are the one-cloud case of the same code.
+Batches: hierarchy builds the scales of a whole batch of clouds at once
+in numpy, one stacked farthest point sampling and one stacked kNN per
+scale over all clouds, then draws each cloud's mask with its own rng; the
+*_batch functions then run B clouds at once with their token rows packed
+cloud after cloud, so every linear layer, norm and MLP runs once over all
+rows. Attention stays within a cloud through a padded (B, n, n) layout
+(Padding), whose radius masks come from one stacked radius_mask. encode,
+decode, reconstruct and forward_pretrain are the one-cloud case of the
+same code.
 
 All functions are pure in (params, config, inputs); parameters live in a
 flat name->Tensor dict with a creation order fixed by param_shapes.
@@ -312,10 +315,12 @@ def _encoder_allow(coords, radius, pad, local):
     """
     if not local and pad.index is None:
         return None
-    allow = np.zeros((pad.count, pad.width, pad.width), dtype=bool)
-    for b, c in enumerate(coords):
-        m = c.shape[0]
-        allow[b, :m, :m] = radius_mask(c, radius) if local else True
+    real = np.arange(pad.width) < np.asarray([c.shape[0] for c in coords])[:, None]
+    allow = real[:, :, None] & real[:, None, :]
+    if local:
+        packed = np.concatenate(coords)
+        slots = packed.reshape(pad.count, pad.width, 3) if pad.index is None else packed[pad.index]
+        allow &= radius_mask(slots, radius)
     allow |= np.eye(pad.width, dtype=bool)
     return allow
 
@@ -375,27 +380,40 @@ def merge_tokens(params, config, reprs, assignments, scale, feats):
     return T.segment_max(h, np.repeat(np.arange(n), k), n)
 
 
-def hierarchy(config, points, rng=None, mask_ratio=None):
-    """One cloud's scales and visibility masks, plain numpy.
+def hierarchy(config, clouds, rngs=None, mask_ratio=None):
+    """Scales and visibility masks of a batch of clouds, plain numpy.
 
-    Returns (repr, assignment). mask_ratio overrides the config value (0
-    disables masking and needs no rng).
+    clouds is a non-empty list of (N, 3) clouds that share N; their scales
+    come from one stacked build_scales. rngs holds one generator per cloud,
+    each drawing only its own cloud's mask. Returns (reprs, assignments),
+    one of each per cloud, equal to what one-cloud calls would give.
+    mask_ratio overrides the config value (0 disables masking and needs
+    no rngs).
     """
     config.validate()
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ContractError(f"points must be (N, 3), got {pts.shape}")
-    if pts.shape[0] < config.num_points:
-        raise ContractError(f"expected >= {config.num_points} points, got {pts.shape[0]}")
-    repr = build_scales(pts, list(config.counts), list(config.ks))
+    pts = [np.asarray(p, dtype=np.float64) for p in clouds]
+    for p in pts:
+        if p.ndim != 2 or p.shape[1] != 3:
+            raise ContractError(f"points must be (N, 3), got {p.shape}")
+        if p.shape[0] < config.num_points:
+            raise ContractError(f"expected >= {config.num_points} points, got {p.shape[0]}")
+    reprs = build_scales(pts, list(config.counts), list(config.ks))  # ContractError if ragged
+    rngs = [None] * len(reprs) if rngs is None else list(rngs)
+    if len(rngs) != len(reprs):
+        raise ContractError(f"{len(rngs)} rngs for {len(reprs)} clouds")
+    return reprs, [_mask(config, r, rng, mask_ratio) for r, rng in zip(reprs, rngs)]
+
+
+def _mask(config, repr, rng, mask_ratio):
+    """One cloud's visibility on its scales; see hierarchy."""
     ratio = config.mask_ratio if mask_ratio is None else ratio_check(mask_ratio)
     if ratio == 0.0:
-        return repr, MaskAssignment(visible=[np.ones(s.shape[0], dtype=bool) for s in repr.seeds])
+        return MaskAssignment(visible=[np.ones(s.shape[0], dtype=bool) for s in repr.seeds])
     if rng is None:
         raise ContractError("masking requires an rng")
     if config.multi_scale_mask:
-        return repr, back_project(repr, sample_visible(config.counts[-1], ratio, rng))
-    return repr, independent_masks(repr, ratio, rng)
+        return back_project(repr, sample_visible(config.counts[-1], ratio, rng))
+    return independent_masks(repr, ratio, rng)
 
 
 def ratio_check(r):
@@ -430,15 +448,20 @@ def encode_batch(params, config, reprs, assignments):
     return tokens
 
 
-def encode(params, config, points, rng=None, mask_ratio=None):
+def encode(params, config, points, rng=None, mask_ratio=None, scales=None):
     """Full encoder pass over one cloud.
 
     Returns (tokens, repr, assignment): tokens[i] is the visible token set
     of scale i+1, rows ordered by ascending seed position. mask_ratio
     overrides the config value (0 disables masking and needs no rng).
+    scales, when given, is the cloud's prebuilt MultiScaleRepr (from a
+    batched hierarchy call), used in place of building it again.
     """
-    repr, assignment = hierarchy(config, points, rng=rng, mask_ratio=mask_ratio)
-    return encode_batch(params, config, [repr], [assignment]), repr, assignment
+    if scales is None:
+        (scales,), (assignment,) = hierarchy(config, [points], [rng], mask_ratio)
+    else:
+        assignment = _mask(config, scales, rng, mask_ratio)
+    return encode_batch(params, config, [scales], [assignment]), scales, assignment
 
 
 def _interleave(vis_rows, hidden_rows, visible):
@@ -535,7 +558,7 @@ def reconstruct(params, config, dec_feats, repr, assignment):
 def forward_pretrain_batch(params, config, clouds, rngs):
     """encode -> decode -> reconstruct over B clouds, each masked with its
     own rng; returns the scalar mean of the per-cloud Chamfer losses."""
-    reprs, assignments = zip(*(hierarchy(config, p, rng=r) for p, r in zip(clouds, rngs)))
+    reprs, assignments = hierarchy(config, clouds, rngs)
     tokens = encode_batch(params, config, reprs, assignments)
     dec = decode_batch(params, config, tokens, reprs, assignments)
     return reconstruct_batch(params, config, dec, reprs, assignments)[1]
@@ -546,9 +569,12 @@ def forward_pretrain(params, config, points, rng):
     return forward_pretrain_batch(params, config, [points], [rng])
 
 
-def extract_global_feature(params, config, points):
-    """Unmasked encoder pass pooled to one vector: max-pool + mean-pool, summed."""
-    tokens, _, _ = encode(params, config, points, mask_ratio=0.0)
+def extract_global_feature(params, config, points, scales=None):
+    """Unmasked encoder pass pooled to one vector: max-pool + mean-pool, summed.
+
+    scales, when given, is the cloud's prebuilt MultiScaleRepr (see encode).
+    """
+    tokens, _, _ = encode(params, config, points, mask_ratio=0.0, scales=scales)
     top = tokens[-1]
     n = top.shape[0]
     ids = np.zeros(n, dtype=np.int64)
@@ -570,5 +596,5 @@ class Model:
     def forward_pretrain(self, points, rng):
         return forward_pretrain(self.params, self.config, points, rng)
 
-    def global_feature(self, points):
-        return extract_global_feature(self.params, self.config, points)
+    def global_feature(self, points, scales=None):
+        return extract_global_feature(self.params, self.config, points, scales)

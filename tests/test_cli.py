@@ -1,12 +1,14 @@
 """End-to-end command-line tests, driven in process."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from msmae import cli
 from msmae.cli import main
-from msmae.data import DataConfig, make_records, save_xyz
+from msmae.data import DataConfig, load_pcb, make_records, save_xyz
 
 TINY_DATA = ["--data.total", "16", "--data.split_seed", "1", "--data.train_frac", "0.5"]
 TINY_TRAIN = ["--training.epochs", "1", "--training.batch_size", "4",
@@ -189,6 +191,22 @@ class TestGenData:
         code = main(["gen-data", "--out", str(tmp_path / "ds"), "--noise", "-0.1"])
         assert code == 2
         assert "noise" in capsys.readouterr().err
+
+    def test_defaults_follow_data_config(self, tmp_path, capsys, monkeypatch):
+        # gen-data takes its kinds, point count and noise from DataConfig,
+        # so a changed default there reaches the command
+        changed = dataclasses.make_dataclass(
+            "ChangedDataConfig", [("kinds", tuple, dataclasses.field(default=("torus", "plane"))),
+                                  ("num_points", int, dataclasses.field(default=24)),
+                                  ("noise", float, dataclasses.field(default=0.0))],
+            bases=(DataConfig,))
+        monkeypatch.setattr(cli, "DataConfig", changed)
+        assert main(["gen-data", "--out", str(tmp_path / "ds"), "--per-class", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["classes"] == 2
+        assert sorted(d.name for d in (tmp_path / "ds").iterdir() if d.is_dir()) == ["plane", "torus"]
+        points = load_pcb(tmp_path / "ds" / "plane" / "plane-00000.pcb")
+        assert points.shape == (24, 3)
+        assert np.abs(points[:, 2]).max() == 0.0  # a noiseless plane stays flat
 
 
 class TestInspectMask:

@@ -163,6 +163,72 @@ class TestKnn:
             G.knn(np.zeros((2, 3)), np.ones((3, 3)), 0)
 
 
+def tie_heavy(r, b, n):
+    """b clouds of n points on a coarse grid, about half of them duplicates."""
+    pts = np.round(r.normal(size=(b, n, 3)), int(r.integers(0, 2)))
+    dup = r.random((b, n)) < 0.5
+    src = r.integers(0, n, size=(b, n))
+    pts[dup] = np.take_along_axis(pts, src[..., None], axis=1)[dup]
+    return pts
+
+
+class TestStacked:
+    """A (B, n, 3) stack gives, cloud by cloud, what one-cloud calls give."""
+
+    @given(st.integers(0, 2 ** 20))
+    @settings(max_examples=60, deadline=None)
+    def test_fps_and_knn_match_oracles_per_cloud(self, seed):
+        r = np.random.default_rng(seed)
+        b, n = int(r.integers(1, 6)), int(r.integers(1, 24))
+        pts, q = tie_heavy(r, b, n), tie_heavy(r, b, int(r.integers(1, 8)))
+        m, k = int(r.integers(1, n + 1)), int(r.integers(1, n + 1))
+        sel, nn = G.fps(pts, m), G.knn(q, pts, k)
+        assert sel.shape == (b, m) and nn.shape == (b, q.shape[1], k)
+        for i in range(b):
+            assert np.array_equal(sel[i], fps_oracle(pts[i], m))
+            assert np.array_equal(nn[i], knn_oracle(q[i], pts[i], k))
+
+    def test_knn_blocks_match_one_block(self, monkeypatch):
+        r = np.random.default_rng(150)
+        src = tie_heavy(r, 40, 128)
+        q = src[:, :64]
+        assert 40 * 64 * 128 > 2 * G._KNN_BLOCK  # at least three blocks
+        blocked = G.knn(q, src, 16)
+        monkeypatch.setattr(G, "_KNN_BLOCK", 40 * 64 * 128)
+        assert np.array_equal(blocked, G.knn(q, src, 16))
+        for i in range(40):
+            assert np.array_equal(blocked[i], G.knn(q[i], src[i], 16))
+
+    def test_given_order_is_the_lexicographic_one(self):
+        r = np.random.default_rng(151)
+        pts = tie_heavy(r, 3, 30)
+        order = G.lex_order(pts)
+        for i in range(3):
+            keys = [tuple(p) + (j,) for j, p in enumerate(pts[i].tolist())]
+            assert order[i].tolist() == sorted(range(30), key=keys.__getitem__)
+        assert np.array_equal(G.fps(pts, 9, order=order), G.fps(pts, 9))
+        assert np.array_equal(G.knn(pts, pts, 4, order=order), G.knn(pts, pts, 4))
+
+    def test_radius_mask_and_weights_per_cloud(self):
+        r = np.random.default_rng(152)
+        fine, coarse = tie_heavy(r, 4, 20), tie_heavy(r, 4, 7)
+        mask = G.radius_mask(fine, 0.8)
+        idx, w = G.interp_weights(fine, coarse)
+        for i in range(4):
+            assert np.array_equal(mask[i], G.radius_mask(fine[i], 0.8))
+            one_idx, one_w = G.interp_weights(fine[i], coarse[i])
+            assert np.array_equal(idx[i], one_idx) and np.array_equal(w[i], one_w)
+
+    def test_mixed_sizes_rejected(self):
+        clouds = [np.zeros((4, 3)), np.ones((5, 3))]
+        with pytest.raises(ContractError):
+            G.fps(clouds, 2)
+        with pytest.raises(ContractError):
+            G.knn(clouds, clouds, 2)
+        with pytest.raises(ShapeError):
+            G.knn(np.zeros((2, 4, 3)), np.zeros((3, 4, 3)), 2)
+
+
 class TestRadiusMask:
     def test_matches_bruteforce(self):
         r = np.random.default_rng(120)

@@ -49,6 +49,23 @@ class TestBuildScales:
         with pytest.raises(ConfigError):
             M.build_scales(cloud(4, 50), [20, 10], [4])
 
+    def test_stack_equals_one_cloud_calls(self):
+        rng = np.random.default_rng(60)
+        stack = np.round(rng.normal(size=(6, 90, 3)), 1)
+        stack[:, 60:] = stack[:, :30]  # duplicated points
+        reprs = M.build_scales(stack, [30, 10, 4], [5, 4, 3])
+        assert len(reprs) == 6
+        for b, rep in enumerate(reprs):
+            one = M.build_scales(stack[b], [30, 10, 4], [5, 4, 3])
+            assert np.array_equal(rep.input_points, one.input_points)
+            for name in ("seeds", "neighbor_index", "parent_points"):
+                for got, want in zip(getattr(rep, name), getattr(one, name)):
+                    assert np.array_equal(got, want), name
+
+    def test_mixed_sizes_rejected(self):
+        with pytest.raises(ContractError):
+            M.build_scales([cloud(5, 50), cloud(6, 60)], [20, 5], [4, 3])
+
 
 class TestSampleVisible:
     def test_exact_floor_count(self):

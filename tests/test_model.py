@@ -5,8 +5,10 @@ import pytest
 
 from msmae import model as M
 from msmae import tensor as T
+from msmae.data import DatasetRecord
 from msmae.errors import ConfigError, ContractError, InvariantError
 from msmae.geometry import radius_mask
+from msmae.evaluate import HIERARCHY_CHUNK, extract_features
 from msmae.masking import build_scales, independent_masks
 
 SMALL = M.ModelConfig(num_points=128, counts=(64, 32, 8), dims=(32, 64, 128),
@@ -502,8 +504,7 @@ class TestPacking:
 
     def test_packed_loss_and_gradients_match_single_clouds(self):
         clouds = [cloud(40 + s) for s in range(5)]
-        visible = [M.hierarchy(SMALL, c, rng=np.random.default_rng(50 + s))[1]
-                   for s, c in enumerate(clouds)]
+        visible = M.hierarchy(SMALL, clouds, [np.random.default_rng(50 + s) for s in range(5)])[1]
         # the batch must exercise padding: visible counts differ per scale
         for i in (0, 1):
             assert len({a.num_visible(i) for a in visible}) > 1
@@ -529,3 +530,34 @@ class TestPacking:
             scale = max(np.abs(w).max() for w in want)
             for name, got, w in zip(names, packed, want):
                 assert np.abs(got - w).max() <= 1e-9 * scale, name
+
+
+class TestBatchedHierarchy:
+    """hierarchy over a batch is one-cloud hierarchy calls, cloud by cloud."""
+
+    def test_matches_one_cloud_calls(self):
+        clouds = [np.round(cloud(70 + s), 1) for s in range(6)]
+        independent = M.ModelConfig(**{**SMALL.__dict__, "multi_scale_mask": False})
+        for cfg in (SMALL, independent):
+            reprs, masks = M.hierarchy(cfg, clouds, [np.random.default_rng(80 + s) for s in range(6)])
+            assert len(reprs) == len(masks) == 6
+            for s, c in enumerate(clouds):
+                (one,), (mask,) = M.hierarchy(cfg, [c], [np.random.default_rng(80 + s)])
+                for i in range(cfg.num_scales):
+                    assert np.array_equal(reprs[s].seeds[i], one.seeds[i])
+                    assert np.array_equal(reprs[s].neighbor_index[i], one.neighbor_index[i])
+                    assert np.array_equal(masks[s].visible[i], mask.visible[i])
+
+    def test_mixed_point_counts_rejected(self):
+        with pytest.raises(ContractError):
+            M.hierarchy(SMALL, [cloud(1), cloud(2, n=130)], mask_ratio=0.0)
+        with pytest.raises(ContractError):
+            M.hierarchy(SMALL, [cloud(1), cloud(2)], [np.random.default_rng(0)])
+
+    def test_extract_features_matches_global_feature(self):
+        m = M.Model.init(SMALL, seed=4)
+        records = [DatasetRecord(points=cloud(90 + s), label=0, id=str(s))
+                   for s in range(HIERARCHY_CHUNK + 3)]  # two chunks, the last one short
+        feats = extract_features(m, records)
+        for rec, f in zip(records, feats):
+            assert np.array_equal(f, m.global_feature(rec.points).data)
