@@ -6,8 +6,11 @@ involved. Features are standardized with train-split statistics first.
 Few-shot evaluation draws K-way (N support + 20 query)-per-class episodes
 from precomputed features. Finetuning puts a 3-layer MLP head on the
 pooled global feature and trains with the same optimizer machinery as
-pretraining, optionally with the encoder frozen. EvalConfig holds the
-settings of all three: the run's [eval] section.
+pretraining, optionally with the encoder frozen. A finetune step builds
+its batch's hierarchies in one stacked call and then runs
+FINETUNE_TAPE_CLOUDS clouds per tape, their token rows packed as in
+pretraining; more clouds per tape would hold more activations at once.
+EvalConfig holds the settings of all three: the run's [eval] section.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError
-from .model import extract_global_feature, hierarchy
+from .model import encode_batch, hierarchy, pool_tokens
 from .rng import derive_rng
 from .training import OptimizerState, Schedule, adamw_step, lr_at
 
@@ -215,9 +218,44 @@ def init_head(feat_dim, num_classes, seed, dtype=np.float32):
 
 
 def head_forward(head, feats):
-    h = T.gelu(T.add(T.matmul(feats, head["head.w0"]), head["head.b0"]))
-    h = T.gelu(T.add(T.matmul(h, head["head.w1"]), head["head.b1"]))
-    return T.add(T.matmul(h, head["head.w2"]), head["head.b2"])
+    h = T.gelu(T.linear(feats, head["head.w0"], head["head.b0"]))
+    h = T.gelu(T.linear(h, head["head.w1"], head["head.b1"]))
+    return T.linear(h, head["head.w2"], head["head.b2"])
+
+
+FINETUNE_TAPE_CLOUDS = 2  # clouds per tape in a finetune step; more would raise peak memory
+
+
+def batch_gradients(model, head, wrt, labels, clouds=None, feats=None):
+    """Gradients for wrt of the mean cross-entropy over one batch.
+
+    Pass clouds to run the encoder on the tape (their hierarchies are
+    built in one stacked call, unmasked), or feats, precomputed (M, C)
+    global features, for a frozen encoder. Consecutive groups of
+    FINETUNE_TAPE_CLOUDS clouds share a tape; a group's loss weighs
+    nb / M, so the summed gradients are those of the batch mean.
+    """
+    m = len(labels)
+    if clouds is not None:
+        reprs, assignments = hierarchy(model.config, clouds, mask_ratio=0.0)
+    total = None
+    for lo in range(0, m, FINETUNE_TAPE_CLOUDS):
+        part = slice(lo, lo + FINETUNE_TAPE_CLOUDS)
+        nb = len(labels[part])
+        with T.Tape() as tape:
+            if clouds is None:
+                gf = T.tensor(feats[part])
+            else:
+                top = encode_batch(model.params, model.config, reprs[part], assignments[part])[-1]
+                gf = pool_tokens(top, [a.num_visible(-1) for a in assignments[part]])
+            loss = T.mul(T.softmax_cross_entropy(head_forward(head, gf), labels[part]), nb / m)
+        grads = tape.gradients(loss, wrt)
+        if total is None:  # copies: two gradients may share one array
+            total = [g.copy() for g in grads]
+        else:
+            for acc, g in zip(total, grads):
+                acc += g
+    return total
 
 
 def finetune(model, train_records, val_records, num_classes, ec, seed=0):
@@ -226,9 +264,11 @@ def finetune(model, train_records, val_records, num_classes, ec, seed=0):
     The EvalConfig `ec` gives the finetune_* settings and freeze_encoder;
     weight decay and the final learning rate are the OptimizerState and
     Schedule defaults. seed draws the head and the shuffles. Masking
-    is off throughout: features come from the full cloud. With
-    freeze_encoder the encoder never enters the tape and its parameters
-    are bit-identical afterwards; features are then precomputed once.
+    is off throughout: features come from the full cloud. A step's
+    gradient is the batch mean, from FINETUNE_TAPE_CLOUDS clouds per tape
+    (batch_gradients). With freeze_encoder the encoder never enters the
+    tape and its parameters are bit-identical afterwards; features are
+    then precomputed once.
     Returns (ProbeResult on the validation split, head parameter dict).
     """
     ec.validate()
@@ -245,39 +285,23 @@ def finetune(model, train_records, val_records, num_classes, ec, seed=0):
     try:
         cached = extract_features(model, records) if frozen else None
         trainable = dict(head) if frozen else {**model.params, **head}
-        names = list(trainable)
+        names, wrt = list(trainable), list(trainable.values())
         opt = OptimizerState.init(trainable)
         steps_per_epoch = len(records) // batch_size
         sched = Schedule(base_lr=ec.finetune_lr, warmup_epochs=ec.finetune_warmup_epochs,
                          total_epochs=ec.finetune_epochs, steps_per_epoch=steps_per_epoch)
+        labels = np.asarray([r.label for r in records])
         step = 0
         for epoch in range(ec.finetune_epochs):
             order = derive_rng(seed, "shuffle", epoch).permutation(len(records))
             for b in range(steps_per_epoch):
                 batch = order[b * batch_size:(b + 1) * batch_size]
-                if not frozen:
-                    reprs, _ = hierarchy(model.config, [records[int(i)].points for i in batch],
-                                         mask_ratio=0.0)
-                grad_sum = None
-                for j, i in enumerate(batch):
-                    rec = records[int(i)]
-                    with T.Tape() as tape:
-                        if frozen:
-                            gf = T.tensor(cached[int(i)])
-                        else:
-                            gf = extract_global_feature(model.params, model.config, rec.points,
-                                                        reprs[j])
-                        logits = T.reshape(head_forward(head, T.reshape(gf, (1, feat_dim))),
-                                           (1, num_classes))
-                        loss = T.softmax_cross_entropy(logits, np.asarray([rec.label]))
-                    grads = tape.gradients(loss, [trainable[n] for n in names])
-                    if grad_sum is None:
-                        grad_sum = [g.copy() for g in grads]
-                    else:
-                        for acc, g in zip(grad_sum, grads):
-                            acc += g
-                gd = {n: g / len(batch) for n, g in zip(names, grad_sum)}
-                adamw_step(trainable, gd, opt, lr_at(step + 1, sched))
+                if frozen:
+                    grads = batch_gradients(model, head, wrt, labels[batch], feats=cached[batch])
+                else:
+                    grads = batch_gradients(model, head, wrt, labels[batch],
+                                            clouds=[records[i].points for i in batch.tolist()])
+                adamw_step(trainable, dict(zip(names, grads)), opt, lr_at(step + 1, sched))
                 step += 1
     finally:
         if frozen:

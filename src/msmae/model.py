@@ -208,14 +208,13 @@ def init_params(config, seed, dtype=np.float32):
     return params
 
 
-def _lin(params, prefix, x):
-    return T.add(T.matmul(x, params[f"{prefix}.w"]), params[f"{prefix}.b"])
+def _lin(params, prefix, x, suffix=""):
+    return T.linear(x, params[f"{prefix}.w{suffix}"], params[f"{prefix}.b{suffix}"])
 
 
 def _mlp2(params, prefix, x):
     """w0 -> gelu -> w1, the shape every small MLP here takes."""
-    h = T.gelu(T.add(T.matmul(x, params[f"{prefix}.w0"]), params[f"{prefix}.b0"]))
-    return T.add(T.matmul(h, params[f"{prefix}.w1"]), params[f"{prefix}.b1"])
+    return _lin(params, prefix, T.gelu(_lin(params, prefix, x, "0")), "1")
 
 
 def _pos_encoding(params, prefix, coords, dtype):
@@ -263,9 +262,7 @@ def _attention(params, prefix, x, allow, heads, pad):
     C = x.shape[1]
     B, n = pad.count, pad.width
     dh = C // heads
-    q = T.add(T.matmul(x, params[f"{prefix}.wq"]), params[f"{prefix}.bq"])
-    k = T.add(T.matmul(x, params[f"{prefix}.wk"]), params[f"{prefix}.bk"])
-    v = T.add(T.matmul(x, params[f"{prefix}.wv"]), params[f"{prefix}.bv"])
+    q, k, v = (_lin(params, prefix, x, s) for s in "qkv")
 
     def split(t):  # packed (N, C) -> (B, heads, n, dh)
         if pad.index is not None:
@@ -279,8 +276,7 @@ def _attention(params, prefix, x, allow, heads, pad):
     merged = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (B * n, C))
     if pad.real is not None:
         merged = T.gather(merged, pad.real)
-    out = T.add(T.matmul(merged, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
-    return out, probs.data
+    return _lin(params, prefix, merged, "o"), probs.data
 
 
 def encoder_block(params, prefix, feats, pos, allow, heads, return_attn=False, pad=None):
@@ -569,17 +565,22 @@ def forward_pretrain(params, config, points, rng):
     return forward_pretrain_batch(params, config, [points], [rng])
 
 
+def pool_tokens(top, sizes):
+    """Global features (B, C) of B token sets packed cloud after cloud in
+    top, each set's max-pool plus its mean-pool; sizes are the sets' rows."""
+    B = len(sizes)
+    ids = np.repeat(np.arange(B), sizes)
+    return T.add(T.segment_max(top, ids, B), T.segment_mean(top, ids, B))
+
+
 def extract_global_feature(params, config, points, scales=None):
-    """Unmasked encoder pass pooled to one vector: max-pool + mean-pool, summed.
+    """Unmasked encoder pass over one cloud pooled to one vector (pool_tokens).
 
     scales, when given, is the cloud's prebuilt MultiScaleRepr (see encode).
     """
     tokens, _, _ = encode(params, config, points, mask_ratio=0.0, scales=scales)
     top = tokens[-1]
-    n = top.shape[0]
-    ids = np.zeros(n, dtype=np.int64)
-    pooled = T.add(T.segment_max(top, ids, 1), T.segment_mean(top, ids, 1))
-    return T.reshape(pooled, (top.shape[-1],))
+    return T.reshape(pool_tokens(top, [top.shape[0]]), (top.shape[-1],))
 
 
 class Model:

@@ -308,6 +308,28 @@ def matmul(a, b):
     raise ShapeError(f"matmul shapes incompatible: {da.shape} x {db.shape}")
 
 
+def linear(x, w, b):
+    """x @ w + b as one node: a (..., k) input, a (k, n) weight, an (n,) bias.
+
+    Values and gradients are bit-identical to add(matmul(x, w), b). The bias
+    is added in place to the product, so no intermediate stays on the tape,
+    and the input's gradient is computed only when the input needs one.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    dx, dw = x.data, w.data
+    if dx.ndim < 2 or dw.ndim != 2 or dx.shape[-1] != dw.shape[0] or b.data.shape != dw.shape[1:]:
+        raise ShapeError(f"linear shapes incompatible: {dx.shape} x {dw.shape} + {b.data.shape}")
+    data = dx @ dw
+    data += b.data
+
+    def vjp(g):
+        gx = g @ dw.T if x.requires_grad else None
+        gw = dx.reshape(-1, dx.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        return gx, gw, _unbroadcast(g, b.data.shape)
+
+    return _make(data, (x, w, b), vjp)
+
+
 def gelu(x):
     """gelu(x) = 0.5*x*(1 + tanh(GELU_C0*(x + GELU_C1*x^3))), tanh approximation."""
     x = as_tensor(x)
@@ -316,8 +338,22 @@ def gelu(x):
     data = 0.5 * d * (1.0 + t)
 
     def vjp(g):
-        local = 0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * GELU_C0 * (1.0 + 3.0 * GELU_C1 * d * d)
-        return (g * local,)
+        # g * (0.5*(1 + t) + 0.5*d*(1 - t*t)*GELU_C0*(1 + 3*GELU_C1*d*d)), in
+        # place but in that expression's operation order, so in the same bits
+        inner = (3.0 * GELU_C1) * d
+        inner *= d
+        inner += 1.0
+        local = 0.5 * d
+        buf = t * t
+        np.subtract(1.0, buf, out=buf)
+        local *= buf
+        local *= GELU_C0
+        local *= inner
+        np.add(t, 1.0, out=buf)
+        buf *= 0.5
+        local += buf
+        local *= g
+        return (local,)
 
     return _make(data, (x,), vjp)
 

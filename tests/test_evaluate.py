@@ -206,6 +206,43 @@ class TestFinetune:
             accs.append(res.accuracy)
         assert accs[0] == accs[1]
 
+    def test_unfrozen_deterministic(self):
+        train, val = self.records()
+        runs = []
+        for _ in range(2):
+            model = M.Model.init(TINY, seed=0)
+            ec = E.EvalConfig(finetune_epochs=2, finetune_batch_size=4,
+                              finetune_warmup_epochs=0, freeze_encoder=False)
+            _, head = E.finetune(model, train, val, num_classes=2, ec=ec)
+            runs.append({**model.params, **head})
+        assert runs[0].keys() == runs[1].keys()
+        for n, p in runs[0].items():
+            assert p.data.tobytes() == runs[1][n].data.tobytes(), n
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_packed_gradients_match_single_clouds(self, frozen):
+        # 5 clouds at 2 per tape: two full tapes and a tape of one
+        assert E.FINETUNE_TAPE_CLOUDS == 2
+        train, _ = self.records()
+        recs = [r for r in train if r.label == 0][:3] + [r for r in train if r.label == 1][:2]
+        labels = np.asarray([r.label for r in recs])
+        model = M.Model.init(TINY, seed=3, dtype=np.float64)
+        head = E.init_head(TINY.dims[-1], 2, seed=4, dtype=np.float64)
+        wrt = list(head.values()) if frozen else [*model.params.values(), *head.values()]
+        feats = E.extract_features(model, recs) if frozen else None
+
+        def gradients(rows):
+            kw = {"feats": feats[rows]} if frozen else {"clouds": [recs[i].points for i in rows]}
+            return E.batch_gradients(model, head, wrt, labels[rows], **kw)
+
+        packed = gradients(list(range(5)))
+        want = [sum(g) / len(recs) for g in zip(*[gradients([i]) for i in range(5)])]
+        # relative to the largest entry, as for pretraining's packed batches
+        scale = max(np.abs(w).max() for w in want)
+        assert len(packed) == len(wrt)
+        for got, w in zip(packed, want):
+            assert np.abs(got - w).max() <= 1e-9 * scale
+
     def test_frozen_head_learns_separable_problem(self):
         # features from two tight blobs: the head alone must fit them
         feats, labels = blobs(20, 2, TINY.dims[-1], 0.05, 12)

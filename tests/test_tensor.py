@@ -82,6 +82,22 @@ class TestElementwise:
         x = np.where(np.abs(x) < 1e-3, 1e-3, x)
         fd_check(lambda a: T.reduce_sum(T.gelu(a)), [x])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_grad_bits_match_reference_expression(self, dtype):
+        r = rng(30)
+        d = (3.0 * r.normal(size=(64, 32))).astype(dtype)
+        w = r.normal(size=(64, 32)).astype(dtype)
+        x = T.tensor(d, requires_grad=True)
+        with T.Tape() as tape:
+            loss = T.reduce_sum(T.mul(T.gelu(x), T.tensor(w)))
+        (got,) = tape.gradients(loss, [x])
+        # the backward's local slope written out as one expression
+        t = np.tanh(T.GELU_C0 * (d + T.GELU_C1 * d * d * d))
+        local = 0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * T.GELU_C0 * (1.0 + 3.0 * T.GELU_C1 * d * d)
+        want = w * local
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
     def test_fanout_accumulates(self):
         x = T.tensor(np.array(3.0), requires_grad=True, dtype=np.float64)
         with T.Tape() as tape:
@@ -116,6 +132,42 @@ class TestMatmul:
     def test_1d_rejected(self):
         with pytest.raises(ShapeError):
             T.matmul(T.tensor(np.zeros(3)), T.tensor(np.zeros((3, 2))))
+
+
+class TestLinear:
+    @pytest.mark.parametrize("lead", [(5,), (3, 5)])
+    def test_bits_match_matmul_then_add(self, lead):
+        r = rng(31)
+        arrays = [r.normal(size=lead + (4,)), r.normal(size=(4, 3)), r.normal(size=(3,)),
+                  r.normal(size=lead + (3,))]
+        xs, w, b, up = [a.astype(np.float32) for a in arrays]
+        results = []
+        for fused in (True, False):
+            ts = [T.tensor(a, requires_grad=True) for a in (xs, w, b)]
+            with T.Tape() as tape:
+                out = T.linear(*ts) if fused else T.add(T.matmul(ts[0], ts[1]), ts[2])
+                loss = T.reduce_sum(T.mul(out, T.tensor(up)))
+            results.append([out.data] + tape.gradients(loss, ts))
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == np.float32
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_grad(self):
+        r = rng(32)
+        fd_check(lambda x, w, b: T.reduce_sum(T.mul(T.linear(x, w, b), T.linear(x, w, b))),
+                 [r.normal(size=(3, 4)), r.normal(size=(4, 2)), r.normal(size=(2,))])
+
+    def test_stacked_grad(self):
+        r = rng(33)
+        fd_check(lambda x, w, b: T.reduce_sum(T.mul(T.linear(x, w, b), T.linear(x, w, b))),
+                 [r.normal(size=(2, 3, 4)), r.normal(size=(4, 2)), r.normal(size=(2,))])
+
+    @pytest.mark.parametrize("shapes", [((3, 4), (5, 2), (2,)), ((3, 4), (4, 2), (3,)),
+                                        ((4,), (4, 2), (2,)), ((3, 4), (2, 4, 2), (2,))])
+    def test_shape_errors(self, shapes):
+        with pytest.raises(ShapeError):
+            T.linear(*[T.tensor(np.zeros(s)) for s in shapes])
 
 
 class TestLayerNorm:
