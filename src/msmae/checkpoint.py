@@ -100,30 +100,23 @@ class _Cursor:
         self.off += n
         return out
 
-    def u8(self, what):
-        return struct.unpack("<B", self.take(1, what))[0]
-
-    def u16(self, what):
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def u32(self, what):
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u64(self, what):
-        return struct.unpack("<Q", self.take(8, what))[0]
+    def unpack(self, fmt, what):
+        """One little-endian integer of struct format fmt (B, H, I or Q)."""
+        fmt = "<" + fmt
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]
 
     def string(self, what):
-        n = self.u16(f"{what} length")
+        n = self.unpack("H", f"{what} length")
         return self.take(n, what).decode("utf-8")
 
 
 def _read_table(cur, what):
-    count = cur.u32(f"{what} count")
+    count = cur.unpack("I", f"{what} count")
     out = {}
     for i in range(count):
         name = cur.string(f"{what} record {i} name")
-        rank = cur.u8(f"{name} rank")
-        shape = tuple(cur.u32(f"{name} extent") for _ in range(rank))
+        rank = cur.unpack("B", f"{name} rank")
+        shape = tuple(cur.unpack("I", f"{name} extent") for _ in range(rank))
         n_items = int(np.prod(shape)) if shape else 1
         raw = cur.take(4 * n_items, f"{name} payload")
         out[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
@@ -176,10 +169,10 @@ def load_checkpoint(path):
     cur = _Cursor(blob, str(path))
     if cur.take(4, "magic") != MAGIC:
         raise ParseError(f"{path}: bad magic at byte 0, not a checkpoint container")
-    version = cur.u16("version")
+    version = cur.unpack("H", "version")
     if version != VERSION:
         raise ParseError(f"{path}: unsupported container version {version} at byte 4")
-    size = cur.u32("config length")
+    size = cur.unpack("I", "config length")
     start = cur.off
     config = parse_model_text(cur.take(size, "config text"), path, start)
     table = _read_table(cur, "parameter")
@@ -193,9 +186,9 @@ def load_checkpoint(path):
             raise ParseError(f"{path}: {name} has shape {table[name].shape}, config wants {tuple(shape)}")
     params = {n: T.tensor(table[n], requires_grad=True) for n in expected}
     optimizer = None
-    if cur.u8("optimizer flag") == 1:
-        step = cur.u64("optimizer step")
-        epoch = cur.u64("optimizer epoch")
+    if cur.unpack("B", "optimizer flag") == 1:
+        step = cur.unpack("Q", "optimizer step")
+        epoch = cur.unpack("Q", "optimizer epoch")
         m = _read_table(cur, "first-moment")
         v = _read_table(cur, "second-moment")
         for part, label in ((m, "first"), (v, "second")):
@@ -203,7 +196,7 @@ def load_checkpoint(path):
                 raise ParseError(f"{path}: {label}-moment table does not match parameters")
         optimizer = {"step": step, "epoch": epoch, "m": m, "v": v}
     aux = None
-    if cur.u8("aux flag") == 1:
+    if cur.unpack("B", "aux flag") == 1:
         aux = _read_table(cur, "auxiliary")
     if cur.off != len(blob):
         raise ParseError(f"{path}: {len(blob) - cur.off} trailing bytes after byte {cur.off}")

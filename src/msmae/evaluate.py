@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, NumericError
 from .model import encode_batch, hierarchy, pool_tokens
 from .rng import derive_rng
 from .training import OptimizerState, Schedule, adamw_step, lr_at
@@ -227,18 +227,18 @@ FINETUNE_TAPE_CLOUDS = 2  # clouds per tape in a finetune step; more would raise
 
 
 def batch_gradients(model, head, wrt, labels, clouds=None, feats=None):
-    """Gradients for wrt of the mean cross-entropy over one batch.
+    """(loss, gradients for wrt) of the mean cross-entropy over one batch.
 
     Pass clouds to run the encoder on the tape (their hierarchies are
     built in one stacked call, unmasked), or feats, precomputed (M, C)
     global features, for a frozen encoder. Consecutive groups of
     FINETUNE_TAPE_CLOUDS clouds share a tape; a group's loss weighs
-    nb / M, so the summed gradients are those of the batch mean.
+    nb / M, so the summed losses and gradients are those of the batch mean.
     """
     m = len(labels)
     if clouds is not None:
         reprs, assignments = hierarchy(model.config, clouds, mask_ratio=0.0)
-    total = None
+    loss_sum, total = 0.0, None
     for lo in range(0, m, FINETUNE_TAPE_CLOUDS):
         part = slice(lo, lo + FINETUNE_TAPE_CLOUDS)
         nb = len(labels[part])
@@ -249,13 +249,14 @@ def batch_gradients(model, head, wrt, labels, clouds=None, feats=None):
                 top = encode_batch(model.params, model.config, reprs[part], assignments[part])[-1]
                 gf = pool_tokens(top, [a.num_visible(-1) for a in assignments[part]])
             loss = T.mul(T.softmax_cross_entropy(head_forward(head, gf), labels[part]), nb / m)
+        loss_sum += float(loss.data)
         grads = tape.gradients(loss, wrt)
         if total is None:  # copies: two gradients may share one array
             total = [g.copy() for g in grads]
         else:
             for acc, g in zip(total, grads):
                 acc += g
-    return total
+    return loss_sum, total
 
 
 def finetune(model, train_records, val_records, num_classes, ec, seed=0):
@@ -266,9 +267,10 @@ def finetune(model, train_records, val_records, num_classes, ec, seed=0):
     Schedule defaults. seed draws the head and the shuffles. Masking
     is off throughout: features come from the full cloud. A step's
     gradient is the batch mean, from FINETUNE_TAPE_CLOUDS clouds per tape
-    (batch_gradients). With freeze_encoder the encoder never enters the
-    tape and its parameters are bit-identical afterwards; features are
-    then precomputed once.
+    (batch_gradients). With freeze_encoder the features are precomputed
+    once, without a tape, and only the head is updated, so the encoder's
+    parameters are bit-identical afterwards. A non-finite batch loss
+    raises NumericError before its step is applied.
     Returns (ProbeResult on the validation split, head parameter dict).
     """
     ec.validate()
@@ -279,34 +281,28 @@ def finetune(model, train_records, val_records, num_classes, ec, seed=0):
         raise ConfigError(f"batch_size {batch_size} exceeds train size {len(records)}")
     feat_dim = model.config.dims[-1]
     head = init_head(feat_dim, num_classes, seed)
-    if frozen:
-        for p in model.params.values():
-            p.requires_grad = False
-    try:
-        cached = extract_features(model, records) if frozen else None
-        trainable = dict(head) if frozen else {**model.params, **head}
-        names, wrt = list(trainable), list(trainable.values())
-        opt = OptimizerState.init(trainable)
-        steps_per_epoch = len(records) // batch_size
-        sched = Schedule(base_lr=ec.finetune_lr, warmup_epochs=ec.finetune_warmup_epochs,
-                         total_epochs=ec.finetune_epochs, steps_per_epoch=steps_per_epoch)
-        labels = np.asarray([r.label for r in records])
-        step = 0
-        for epoch in range(ec.finetune_epochs):
-            order = derive_rng(seed, "shuffle", epoch).permutation(len(records))
-            for b in range(steps_per_epoch):
-                batch = order[b * batch_size:(b + 1) * batch_size]
-                if frozen:
-                    grads = batch_gradients(model, head, wrt, labels[batch], feats=cached[batch])
-                else:
-                    grads = batch_gradients(model, head, wrt, labels[batch],
-                                            clouds=[records[i].points for i in batch.tolist()])
-                adamw_step(trainable, dict(zip(names, grads)), opt, lr_at(step + 1, sched))
-                step += 1
-    finally:
-        if frozen:
-            for p in model.params.values():
-                p.requires_grad = True
+    cached = extract_features(model, records) if frozen else None
+    trainable = dict(head) if frozen else {**model.params, **head}
+    names, wrt = list(trainable), list(trainable.values())
+    opt = OptimizerState.init(trainable)
+    steps_per_epoch = len(records) // batch_size
+    sched = Schedule(base_lr=ec.finetune_lr, warmup_epochs=ec.finetune_warmup_epochs,
+                     total_epochs=ec.finetune_epochs, steps_per_epoch=steps_per_epoch)
+    labels = np.asarray([r.label for r in records])
+    step = 0
+    for epoch in range(ec.finetune_epochs):
+        order = derive_rng(seed, "shuffle", epoch).permutation(len(records))
+        for b in range(steps_per_epoch):
+            batch = order[b * batch_size:(b + 1) * batch_size]
+            if frozen:
+                loss, grads = batch_gradients(model, head, wrt, labels[batch], feats=cached[batch])
+            else:
+                loss, grads = batch_gradients(model, head, wrt, labels[batch],
+                                              clouds=[records[i].points for i in batch.tolist()])
+            if not math.isfinite(loss):
+                raise NumericError(f"non-finite finetune loss at step {step} (epoch {epoch})")
+            adamw_step(trainable, dict(zip(names, grads)), opt, lr_at(step + 1, sched))
+            step += 1
     val = sorted(val_records, key=lambda r: r.id)
     logits = head_forward(head, T.tensor(extract_features(model, val).astype(np.float32))).data
     labels = np.asarray([r.label for r in val])

@@ -22,8 +22,8 @@ scale over all clouds, then draws each cloud's mask with its own rng; the
 cloud after cloud, so every linear layer, norm and MLP runs once over all
 rows. Attention stays within a cloud through a padded (B, n, n) layout
 (Padding), whose radius masks come from one stacked radius_mask. encode,
-decode, reconstruct and forward_pretrain are the one-cloud case of the
-same code.
+decode and reconstruct are the B=1 case of the same code; a one-cloud
+pretraining loss is forward_pretrain_batch with one-element lists.
 
 All functions are pure in (params, config, inputs); parameters live in a
 flat name->Tensor dict with a creation order fixed by param_shapes.
@@ -279,18 +279,16 @@ def _attention(params, prefix, x, allow, heads, pad):
     return _lin(params, prefix, merged, "o"), probs.data
 
 
-def encoder_block(params, prefix, feats, pos, allow, heads, return_attn=False, pad=None):
+def encoder_block(params, prefix, feats, pos, allow, heads, pad, return_attn=False):
     """Pre-norm transformer block with adjacency-restricted attention.
 
     The positional encoding is re-added to the features ahead of every
-    block, so each attention layer sees current coordinates. Without pad,
-    feats is one token set and allow its (n, n) adjacency (or None, dense);
-    with pad, feats packs pad.count sets and allow is (B, n, n) or None.
+    block, so each attention layer sees current coordinates. feats packs
+    pad.count token sets and allow is their (B, n, n) adjacency, or None
+    for dense attention; one set is Padding(1, n) with allow[None].
+    With return_attn, also returns the (B, heads, n, n) attention
+    probabilities.
     """
-    single = pad is None
-    if single:
-        pad = Padding(1, feats.shape[0])
-        allow = None if allow is None else np.asarray(allow)[None]
     h = T.add(feats, pos) if pos is not None else feats
     normed = T.layer_norm(h, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
     attn_out, probs = _attention(params, f"{prefix}.attn", normed, allow, heads, pad)
@@ -298,7 +296,7 @@ def encoder_block(params, prefix, feats, pos, allow, heads, return_attn=False, p
     normed2 = T.layer_norm(h, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
     h = T.add(h, _mlp2(params, f"{prefix}.ffn", normed2))
     if return_attn:
-        return h, probs[0] if single else probs
+        return h, probs
     return h
 
 
@@ -402,7 +400,7 @@ def hierarchy(config, clouds, rngs=None, mask_ratio=None):
 
 def _mask(config, repr, rng, mask_ratio):
     """One cloud's visibility on its scales; see hierarchy."""
-    ratio = config.mask_ratio if mask_ratio is None else ratio_check(mask_ratio)
+    ratio = config.mask_ratio if mask_ratio is None else mask_ratio
     if ratio == 0.0:
         return MaskAssignment(visible=[np.ones(s.shape[0], dtype=bool) for s in repr.seeds])
     if rng is None:
@@ -410,12 +408,6 @@ def _mask(config, repr, rng, mask_ratio):
     if config.multi_scale_mask:
         return back_project(repr, sample_visible(config.counts[-1], ratio, rng))
     return independent_masks(repr, ratio, rng)
-
-
-def ratio_check(r):
-    if not 0.0 <= r <= 1.0:
-        raise ConfigError(f"mask_ratio must lie in [0, 1], got {r}")
-    return r
 
 
 def encode_batch(params, config, reprs, assignments):
@@ -437,7 +429,7 @@ def encode_batch(params, config, reprs, assignments):
             pos = _pos_encoding(params, f"enc{i + 1}.pos", np.concatenate(coords), dtype)
             for b in range(plan[i]):
                 feats = encoder_block(params, f"enc{i + 1}.blk{b + 1}", feats, pos, allow,
-                                      config.heads, pad=pad)
+                                      config.heads, pad)
         tokens.append(feats)
         if i < config.num_scales - 1:
             feats = merge_tokens(params, config, reprs, assignments, i + 2, feats)
@@ -511,7 +503,7 @@ def decode_batch(params, config, tokens, reprs, assignments):
             pos = _pos_encoding(params, f"dec{j}.pos", coords, dtype)
             for b in range(plan[j - 1]):
                 feats = encoder_block(params, f"dec{j}.blk{b + 1}", feats, pos, None,
-                                      config.heads, pad=pad)
+                                      config.heads, pad)
     return feats
 
 
@@ -560,11 +552,6 @@ def forward_pretrain_batch(params, config, clouds, rngs):
     return reconstruct_batch(params, config, dec, reprs, assignments)[1]
 
 
-def forward_pretrain(params, config, points, rng):
-    """encode -> decode -> reconstruct; returns the scalar Chamfer loss."""
-    return forward_pretrain_batch(params, config, [points], [rng])
-
-
 def pool_tokens(top, sizes):
     """Global features (B, C) of B token sets packed cloud after cloud in
     top, each set's max-pool plus its mean-pool; sizes are the sets' rows."""
@@ -593,9 +580,6 @@ class Model:
     @classmethod
     def init(cls, config, seed, dtype=np.float32):
         return cls(config, init_params(config, seed, dtype=dtype))
-
-    def forward_pretrain(self, points, rng):
-        return forward_pretrain(self.params, self.config, points, rng)
 
     def global_feature(self, points, scales=None):
         return extract_global_feature(self.params, self.config, points, scales)

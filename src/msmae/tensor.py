@@ -2,13 +2,13 @@
 
 Define-by-run: while a Tape is active (``with Tape() as tape:``), every
 primitive that touches a tensor requiring gradients appends a node to the
-tape's execution record. ``tape.backward(loss)`` walks that record in exact
-reverse order and accumulates gradients additively, so two runs on identical
-inputs produce bit-identical gradients.
+tape's execution record. ``tape.gradients(loss, wrt)`` walks that record in
+exact reverse order and accumulates gradients additively, so two runs on
+identical inputs produce bit-identical gradients.
 
-The tape owns its recorded tensors; a tensor refers back to its tape only
-weakly, so a finished tape and every activation it holds are freed as soon
-as the caller drops the tape, without waiting for the cyclic collector.
+A tape holds its recorded tensors and nothing refers back to it, so a
+finished tape and every activation it holds are freed as soon as the
+caller drops the tape, without waiting for the cyclic collector.
 
 Tensors hold a numpy array (row-major). Precision is whatever dtype the
 caller creates them with: models train in float32, gradient tests run in
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import threading
-import weakref
 
 import numpy as np
 
@@ -52,7 +51,7 @@ def _active_tape():
 class Tensor:
     """Dense n-dimensional float array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -61,7 +60,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._tape = None
 
     @property
     def shape(self):
@@ -75,39 +73,8 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self):
-        if self.data.size != 1:
-            raise ContractError(f"item() on tensor of shape {self.data.shape}")
-        return float(self.data.reshape(()))
-
-    def numpy(self):
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    # operator sugar; all routed through the module-level primitives
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -121,7 +88,6 @@ class Tape:
     def __init__(self):
         self._nodes = []  # (out, parents, vjp); vjp(g) -> per-parent grads
         self._out_ids = set()
-        self._ref = weakref.ref(self)  # what recorded tensors hold: no cycle
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -134,7 +100,6 @@ class Tape:
 
     def _record(self, out, parents, vjp):
         out.requires_grad = True
-        out._tape = self._ref
         self._nodes.append((out, parents, vjp))
         self._out_ids.add(id(out))
 
@@ -188,14 +153,6 @@ class Tape:
             hit = flow.get(id(t))
             out.append(np.ascontiguousarray(hit[1]) if hit is not None else np.zeros_like(t.data))
         return out
-
-
-def backward(loss):
-    """Reverse-mode sweep from a scalar loss produced on a tape still alive."""
-    tape = loss._tape() if isinstance(loss, Tensor) and loss._tape is not None else None
-    if tape is None:
-        raise ContractError("loss was not produced on a tape, or its tape has been freed")
-    tape.backward(loss)
 
 
 def tensor(data, requires_grad=False, dtype=None):

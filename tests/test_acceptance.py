@@ -145,11 +145,11 @@ def test_criterion_03_gradients_match_finite_differences():
     mask_seed = 11
 
     def loss_value():
-        return float(M.forward_pretrain(model.params, SMALL, pts,
-                                        np.random.default_rng(mask_seed)).data)
+        return float(M.forward_pretrain_batch(model.params, SMALL, [pts],
+                                              [np.random.default_rng(mask_seed)]).data)
 
     with T.Tape() as tape:
-        loss = M.forward_pretrain(model.params, SMALL, pts, np.random.default_rng(mask_seed))
+        loss = M.forward_pretrain_batch(model.params, SMALL, [pts], [np.random.default_rng(mask_seed)])
     names = list(M.param_shapes(SMALL))
     grads = dict(zip(names, tape.gradients(loss, [model.params[n] for n in names])))
     pick = np.random.default_rng(25)
@@ -187,8 +187,9 @@ def test_criterion_04_attention_locality():
         radius = float(rng.uniform(0.3, 1.5))
         allow = G.radius_mask(coords, radius)
         pos = M._pos_encoding(model.params, "enc1.pos", coords, np.float32)
-        _, probs = M.encoder_block(model.params, "enc1.blk1", feats, pos, allow,
-                                   SMALL.heads, return_attn=True)
+        _, probs = M.encoder_block(model.params, "enc1.blk1", feats, pos, allow[None],
+                                   SMALL.heads, M.Padding(1, n), return_attn=True)
+        probs = probs[0]
         d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(-1)
         assert (probs[:, d2 > radius * radius] == 0.0).all()
 
@@ -197,9 +198,9 @@ def test_criterion_04_attention_locality():
     pos = M._pos_encoding(model.params, "enc1.pos", coords, np.float32)
     diameter = math.sqrt(((coords[:, None] - coords[None]) ** 2).sum(-1).max())
     local = M.encoder_block(model.params, "enc1.blk1", feats, pos,
-                            G.radius_mask(coords, diameter * 1.01), SMALL.heads)
+                            G.radius_mask(coords, diameter * 1.01)[None], SMALL.heads, M.Padding(1, 12))
     dense = M.encoder_block(model.params, "enc1.blk1", feats, pos,
-                            np.ones((12, 12), dtype=bool), SMALL.heads)
+                            np.ones((1, 12, 12), dtype=bool), SMALL.heads, M.Padding(1, 12))
     gap = float(np.abs(local.data - dense.data).max())
     report(4, "attention locality", gap < 1e-6,
            f"20 token sets exactly zero beyond radius, saturated radius "

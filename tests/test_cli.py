@@ -160,6 +160,16 @@ class TestFinetune:
             assert np.array_equal(p0[n].data, p1[n].data), n
         assert any(n.startswith("head.") for n in aux)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_exits_3(self, trained, tmp_path, capsys):
+        code = main(["finetune", "--checkpoint", str(trained), "--out", str(tmp_path),
+                     *TINY_DATA, "--eval.finetune_lr", "1e8",
+                     "--eval.finetune_epochs", "3", "--eval.finetune_batch_size", "4",
+                     "--eval.finetune_warmup_epochs", "0"])
+        assert code == 3
+        assert "non-finite finetune loss at step" in capsys.readouterr().err
+        assert not (tmp_path / "checkpoint_finetuned.pm2a").exists()
+
 
 class TestGenData:
     def test_count_arithmetic(self, tmp_path, capsys):

