@@ -292,7 +292,7 @@ def chamfer_sets(pred, target):
         d2 = 2.0 * (pn - Tt) / k2 * g[:, None, None]
         flat = gp.reshape(M * k, 3)
         rows = (np.arange(M)[:, None] * k + i2).reshape(-1)
-        np.add.at(flat, rows, d2.reshape(-1, 3))
+        T.scatter_add(flat, rows, d2)
         return (flat.reshape(M, k, 3),)
 
     return T.apply_op(val, (pred,), vjp)

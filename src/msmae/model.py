@@ -226,14 +226,13 @@ class Padding:
     """How B token sets, packed one after another as rows of one (N, C)
     tensor, map onto a padded (B, n, C) layout with n the largest set.
 
-    index is the (B, n) packed row of every slot (padding slots repeat row
-    0) and real the flat slots, in B*n order, that hold a packed row. Both
-    are None when every set has n rows, where a reshape does the mapping.
+    real holds the flat slots, in B*n order, of the packed rows, one slot
+    per row; the other slots are padding and hold zeros. real is None when
+    every set has n rows, where a reshape does the mapping.
     """
 
     count: int
     width: int
-    index: np.ndarray = None
     real: np.ndarray = None
 
     @classmethod
@@ -242,11 +241,8 @@ class Padding:
         count, width = sizes.size, int(sizes.max())
         if (sizes == width).all():
             return cls(count, width)
-        slot = np.arange(width)
-        filled = slot[None, :] < sizes[:, None]
-        starts = np.cumsum(sizes) - sizes
-        index = np.where(filled, starts[:, None] + slot[None, :], 0)
-        return cls(count, width, index, np.flatnonzero(filled))
+        filled = np.arange(width)[None, :] < sizes[:, None]
+        return cls(count, width, np.flatnonzero(filled))
 
 
 def _attention(params, prefix, x, allow, heads, pad):
@@ -257,7 +253,7 @@ def _attention(params, prefix, x, allow, heads, pad):
     needs sets that fill the layout (no padding to keep out).
     Returns (output (N, C), probs (B, heads, n, n) numpy).
     """
-    if allow is None and pad.index is not None:
+    if allow is None and pad.real is not None:
         raise ContractError("dense attention over padded token sets would attend to padding")
     C = x.shape[1]
     B, n = pad.count, pad.width
@@ -265,8 +261,8 @@ def _attention(params, prefix, x, allow, heads, pad):
     q, k, v = (_lin(params, prefix, x, s) for s in "qkv")
 
     def split(t):  # packed (N, C) -> (B, heads, n, dh)
-        if pad.index is not None:
-            t = T.gather(t, pad.index)
+        if pad.real is not None:
+            t = T.scatter(t, pad.real, B * n)
         return T.transpose(T.reshape(t, (B, n, heads, dh)), (0, 2, 1, 3))
 
     qh, kh, vh = split(q), split(k), split(v)
@@ -307,13 +303,13 @@ def _encoder_allow(coords, radius, pad, local):
     local attention); a padding slot sees only itself, so no row is empty
     and no real token attends to padding.
     """
-    if not local and pad.index is None:
+    if not local and pad.real is None:
         return None
     real = np.arange(pad.width) < np.asarray([c.shape[0] for c in coords])[:, None]
     allow = real[:, :, None] & real[:, None, :]
     if local:
-        packed = np.concatenate(coords)
-        slots = packed.reshape(pad.count, pad.width, 3) if pad.index is None else packed[pad.index]
+        slots = np.zeros((pad.count, pad.width, 3))
+        slots[real] = np.concatenate(coords)
         allow &= radius_mask(slots, radius)
     allow |= np.eye(pad.width, dtype=bool)
     return allow

@@ -227,7 +227,9 @@ def mul(a, b):
     data = a.data * b.data
 
     def vjp(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+        ga = _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None
+        return ga, gb
 
     return _make(data, (a, b), vjp)
 
@@ -291,8 +293,16 @@ def gelu(x):
     """gelu(x) = 0.5*x*(1 + tanh(GELU_C0*(x + GELU_C1*x^3))), tanh approximation."""
     x = as_tensor(x)
     d = x.data
-    t = np.tanh(GELU_C0 * (d + GELU_C1 * d * d * d))
-    data = 0.5 * d * (1.0 + t)
+    # the tanh argument GELU_C0*(d + GELU_C1*d*d*d) in one buffer, in that
+    # expression's operation order
+    t = np.multiply(GELU_C1, d, out=np.empty_like(d))
+    t *= d
+    t *= d
+    np.add(d, t, out=t)
+    t *= GELU_C0
+    np.tanh(t, out=t)
+    data = 0.5 * d
+    data *= 1.0 + t
 
     def vjp(g):
         # g * (0.5*(1 + t) + 0.5*d*(1 - t*t)*GELU_C0*(1 + 3*GELU_C1*d*d)), in
@@ -350,15 +360,16 @@ def masked_softmax(logits, allow=None):
     logits = as_tensor(logits)
     d = logits.data
     if allow is None:
-        e = np.exp(d - d.max(axis=-1, keepdims=True))
+        p = d - d.max(axis=-1, keepdims=True)
     else:
         mask = np.asarray(allow.data if isinstance(allow, Tensor) else allow, dtype=bool)
         mask = np.broadcast_to(mask, d.shape)
         if not mask.any(axis=-1).all():
             raise ContractError("masked_softmax: a row has no allowed entries")
-        m = np.where(mask, d, -np.inf).max(axis=-1, keepdims=True)
-        e = np.where(mask, np.exp(np.where(mask, d - m, 0.0)), 0.0)
-    p = e / e.sum(axis=-1, keepdims=True)
+        p = np.where(mask, d, -np.inf)  # exp(-inf) is exactly 0
+        p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         return (p * (g - (g * p).sum(axis=-1, keepdims=True)), None)
@@ -381,25 +392,74 @@ def concat(tensors, axis=-1):
     return _make(data, tuple(ts), vjp)
 
 
+def scatter_add(buf, index, rows):
+    """buf[index[i]] += rows[i] for every i, in place; returns buf.
+
+    Duplicate targets accumulate in index order, so every row of buf gets
+    the same float operations, and bytes, as ufunc.at of np.add does.
+    The index is stable-sorted once; pass r then adds the r-th occurrence
+    of every target that still has one with a single fancy-indexed +=.
+    """
+    idx = np.asarray(index).reshape(-1)
+    if idx.size == 0:
+        return buf
+    rows = np.asarray(rows).reshape((idx.size,) + buf.shape[1:])
+    order = np.argsort(idx, kind="stable")
+    sorted_idx = idx[order]
+    pos = np.flatnonzero(np.concatenate(([True], sorted_idx[1:] != sorted_idx[:-1])))
+    end = np.append(pos[1:], idx.size)  # one past each target's last occurrence
+    while pos.size:
+        buf[sorted_idx[pos]] += rows[order[pos]]
+        pos = pos + 1
+        left = pos < end
+        pos, end = pos[left], end[left]
+    return buf
+
+
+def _check_index(index, n, what):
+    idx = np.asarray(index)
+    if idx.dtype.kind not in "iu":
+        raise ContractError(f"{what} index must be integer")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ContractError(f"{what} index out of range for {n} rows")
+    return idx
+
+
 def gather(x, index):
     """Select rows of x by an integer index table.
 
-    Output shape is index.shape + x.shape[1:]. Gradient scatters additively,
-    so duplicate indices accumulate.
+    Output shape is index.shape + x.shape[1:]. Gradient scatters additively
+    (scatter_add), so duplicate indices accumulate.
     """
     x = as_tensor(x)
-    idx = np.asarray(index)
-    if idx.dtype.kind not in "iu":
-        raise ContractError("gather index must be integer")
-    n = x.data.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ContractError(f"gather index out of range for {n} rows")
+    idx = _check_index(index, x.data.shape[0], "gather")
     data = x.data[idx]
 
     def vjp(g):
-        buf = np.zeros_like(x.data)
-        np.add.at(buf, idx.reshape(-1), g.reshape((idx.size,) + x.data.shape[1:]))
-        return (buf,)
+        return (scatter_add(np.zeros_like(x.data), idx, g),)
+
+    return _make(data, (x,), vjp)
+
+
+def scatter(x, index, n):
+    """Place the rows of x at distinct rows index of an n-row zero array.
+
+    The inverse layout of gather: out[index[i]] = x[i], every other row
+    zero. Gradient is the row pick g[index].
+    """
+    x = as_tensor(x)
+    idx = _check_index(index, n, "scatter")
+    if idx.shape != x.data.shape[:1]:
+        raise ShapeError(f"scatter index {idx.shape} does not match {x.data.shape[0]} rows")
+    data = np.zeros((n,) + x.data.shape[1:], dtype=x.data.dtype)
+    hit = np.zeros(n, dtype=bool)
+    hit[idx] = True
+    if np.count_nonzero(hit) != idx.size:
+        raise ContractError("scatter index repeats a row")
+    data[idx] = x.data
+
+    def vjp(g):
+        return (g[idx],)
 
     return _make(data, (x,), vjp)
 
@@ -430,31 +490,35 @@ def segment_max(x, segment_ids, num_segments):
     ids, counts = _segment_prep(x, segment_ids, num_segments)
     d = x.data
     uniform = counts.max() == counts.min()
+    recording = _active_tape() is not None and x.requires_grad
     if uniform:
         k = int(counts[0])
         grouped = d.reshape((num_segments, k) + d.shape[1:])
-        data = grouped.max(axis=1)
-        arg = grouped.argmax(axis=1)
+        if not recording:
+            return Tensor(grouped.max(axis=1))
+        arg = np.expand_dims(grouped.argmax(axis=1), 1)
+        data = np.take_along_axis(grouped, arg, axis=1)[:, 0]
 
         def vjp(g):
             buf = np.zeros_like(grouped)
-            np.put_along_axis(buf, np.expand_dims(arg, 1), np.expand_dims(g, 1), axis=1)
+            np.put_along_axis(buf, arg, np.expand_dims(g, 1), axis=1)
             return (buf.reshape(d.shape),)
 
     else:
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
         data = np.maximum.reduceat(d, starts, axis=0)
+        if not recording:
+            return Tensor(data)
         arg = np.empty((num_segments,) + d.shape[1:], dtype=np.int64)
         for s in range(num_segments):
             lo = starts[s]
             arg[s] = lo + d[lo:lo + counts[s]].argmax(axis=0)
 
         def vjp(g):
+            # (arg, col) pairs are distinct, so one += per entry is exact
             buf = np.zeros_like(d)
             flat_arg = arg.reshape(num_segments, -1)
-            flat_g = g.reshape(num_segments, -1)
-            cols = np.arange(flat_arg.shape[1])
-            np.add.at(buf.reshape(d.shape[0], -1), (flat_arg, cols), flat_g)
+            buf.reshape(d.shape[0], -1)[flat_arg, np.arange(flat_arg.shape[1])] += g.reshape(num_segments, -1)
             return (buf,)
 
     return _make(data, (x,), vjp)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,17 @@ class TestFinetune:
         assert code == 3
         assert "non-finite finetune loss at step" in capsys.readouterr().err
         assert not (tmp_path / "checkpoint_finetuned.pm2a").exists()
+
+    def test_diverging_run_reports_without_numpy_warnings(self, trained, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["finetune", "--checkpoint", str(trained), "--out", str(tmp_path),
+                         *TINY_DATA, "--eval.finetune_lr", "1e8",
+                         "--eval.finetune_epochs", "3", "--eval.finetune_batch_size", "4",
+                         "--eval.finetune_warmup_epochs", "0"])
+        assert code == 3
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.startswith("error: non-finite finetune loss at step")
 
 
 class TestGenData:

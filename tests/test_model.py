@@ -553,6 +553,41 @@ class TestPacking:
                 assert np.abs(got - w).max() <= 1e-9 * scale, name
 
 
+    def test_padded_block_matches_row0_padding(self, monkeypatch):
+        # padding slots hold zeros; in the layout they replace, every padding
+        # slot copied packed row 0. Real rows must not tell the two apart.
+        r = np.random.default_rng(60)
+        sizes = [7, 3, 5]
+        coords = [r.normal(size=(n, 3)) * 0.5 for n in sizes]
+        pad = M.Padding.of(sizes)
+        allow = M._encoder_allow(coords, 0.9, pad, True)
+        m = M.Model.init(SMALL, seed=3, dtype=np.float64)
+        names = [n for n in M.param_shapes(SMALL) if n.startswith("enc1.")]
+        x0, w = r.normal(size=(2, sum(sizes), 32))
+
+        def run():
+            feats = T.tensor(x0, requires_grad=True)
+            with T.Tape() as tape:
+                pos = M._pos_encoding(m.params, "enc1.pos", np.concatenate(coords), np.float64)
+                out = M.encoder_block(m.params, "enc1.blk1", feats, pos, allow, SMALL.heads, pad)
+                loss = T.reduce_sum(T.mul(out, w))
+            return out.data, tape.gradients(loss, [feats] + [m.params[n] for n in names])
+
+        new_out, new_grads = run()
+
+        def row0_layout(t, real, n):
+            index = np.zeros(n, dtype=np.int64)
+            index[real] = np.arange(real.size)
+            return T.gather(t, index)
+
+        monkeypatch.setattr(T, "scatter", row0_layout)
+        old_out, old_grads = run()
+        assert np.abs(new_out - old_out).max() <= 1e-9 * np.abs(old_out).max()
+        scale = max(np.abs(g).max() for g in old_grads)
+        for name, got, want in zip(["feats"] + names, new_grads, old_grads):
+            assert np.abs(got - want).max() <= 1e-9 * scale, name
+
+
 class TestBatchedHierarchy:
     """hierarchy over a batch is one-cloud hierarchy calls, cloud by cloud."""
 

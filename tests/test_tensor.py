@@ -98,6 +98,23 @@ class TestElementwise:
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_bits_match_reference_expression(self, dtype):
+        d = (3.0 * rng(31).normal(size=(64, 32))).astype(dtype)
+        want = 0.5 * d * (1.0 + np.tanh(T.GELU_C0 * (d + T.GELU_C1 * d * d * d)))
+        got = T.gelu(T.tensor(d)).data
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_mul_skips_gradient_of_constant_operand(self):
+        x = T.tensor(rng(32).normal(size=(3, 4)), requires_grad=True)
+        with T.Tape() as tape:
+            T.mul(x, 0.5)
+        _, _, vjp = tape._nodes[-1]
+        gx, gc = vjp(np.ones((3, 4)))
+        assert np.array_equal(gx, np.full((3, 4), 0.5))
+        assert gc is None
+
     def test_fanout_accumulates(self):
         x = T.tensor(np.array(3.0), requires_grad=True, dtype=np.float64)
         with T.Tape() as tape:
@@ -210,6 +227,23 @@ class TestMaskedSoftmax:
         assert np.isfinite(p).all()
         assert p[0, 2] == 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_match_reference_expression(self, dtype):
+        r = rng(33)
+        d = (5.0 * r.normal(size=(2, 3, 8, 8))).astype(dtype)
+        allow = r.random((2, 1, 8, 8)) > 0.5
+        allow |= np.eye(8, dtype=bool)
+        mask = np.broadcast_to(allow, d.shape)
+        m = np.where(mask, d, -np.inf).max(axis=-1, keepdims=True)
+        e = np.where(mask, np.exp(np.where(mask, d - m, 0.0)), 0.0)
+        masked = e / e.sum(axis=-1, keepdims=True)
+        e = np.exp(d - d.max(axis=-1, keepdims=True))
+        dense = e / e.sum(axis=-1, keepdims=True)
+        for got, want in ((T.masked_softmax(T.tensor(d), allow).data, masked),
+                          (T.masked_softmax(T.tensor(d)).data, dense)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
     def test_all_disallowed_row_raises(self):
         with pytest.raises(ContractError):
             T.masked_softmax(T.tensor(np.zeros((2, 3))), np.zeros((2, 3), dtype=bool))
@@ -272,6 +306,71 @@ class TestGatherConcat:
                  [r.normal(size=(2, 2)), r.normal(size=(3, 2))])
 
 
+def _add_at(buf, index, rows):
+    out = buf.copy()
+    np.add.at(out, index.reshape(-1), rows.reshape((index.size,) + buf.shape[1:]))
+    return out
+
+
+def _index_table(kind, r):
+    if kind == "injective":
+        return r.permutation(96)
+    if kind == "knn":  # every fine row picks 3 of 40 coarse rows, nearby ones
+        base = r.integers(0, 38, size=(300, 1))
+        return np.minimum(base + np.sort(r.integers(0, 4, size=(300, 3)), axis=1), 39)
+    if kind == "heavy":  # row 5 hit 500 times among a few others
+        idx = np.full(560, 5)
+        idx[r.choice(560, 60, replace=False)] = r.integers(0, 40, size=60)
+        return idx
+    raise AssertionError(kind)
+
+
+class TestScatter:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["injective", "knn", "heavy"])
+    def test_scatter_add_bytes_match_add_at(self, dtype, kind):
+        r = rng(40)
+        idx = _index_table(kind, r)
+        rows_n = int(idx.max()) + 1 + 3  # some rows receive nothing
+        # magnitudes over eight decades, so a different summation order shows
+        rows = (r.normal(size=idx.shape + (4,)) * 10.0 ** r.uniform(-4, 4, size=idx.shape + (4,)))
+        rows = rows.astype(dtype)
+        rows.reshape(-1)[::7] = -0.0
+        for start in (np.zeros((rows_n, 4), dtype=dtype),
+                      r.normal(size=(rows_n, 4)).astype(dtype)):
+            start.reshape(-1)[::5] = -0.0
+            want = _add_at(start, idx, rows)
+            got = T.scatter_add(start.copy(), idx, rows)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_scatter_add_empty_index(self):
+        buf = rng(41).normal(size=(4, 2))
+        got = T.scatter_add(buf.copy(), np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3, 2)))
+        assert got.tobytes() == buf.tobytes()
+
+    def test_scatter_forward(self):
+        x = T.tensor(np.arange(6.0).reshape(3, 2))
+        out = T.scatter(x, np.array([4, 0, 2]), 5).data
+        assert np.array_equal(out, [[2.0, 3.0], [0.0, 0.0], [4.0, 5.0], [0.0, 0.0], [0.0, 1.0]])
+
+    def test_scatter_grad(self):
+        r = rng(42)
+        idx = np.array([3, 0, 5, 1])
+        w = r.normal(size=(7, 2))
+        fd_check(lambda x: T.reduce_sum(T.mul(T.scatter(x, idx, 7), T.tensor(w))),
+                 [r.normal(size=(4, 2))])
+
+    def test_scatter_rejects_bad_index(self):
+        x = T.tensor(np.zeros((3, 2)))
+        with pytest.raises(ContractError):
+            T.scatter(x, np.array([0, 2, 0]), 4)  # repeats a row
+        with pytest.raises(ContractError):
+            T.scatter(x, np.array([0, 1, 4]), 4)
+        with pytest.raises(ShapeError):
+            T.scatter(x, np.array([0, 1]), 4)
+
+
 class TestSegments:
     def test_segment_max_uniform(self):
         x = T.tensor(np.array([[1.0], [5.0], [2.0], [7.0]]))
@@ -296,6 +395,16 @@ class TestSegments:
         w = r.normal(size=(3, 4))
         fd_check(lambda x: T.reduce_sum(T.mul(T.segment_max(x, ids, 3), T.tensor(w))),
                  [r.normal(size=(8, 4))])
+
+    @pytest.mark.parametrize("ids", [[0, 0, 0, 1, 1, 1], [0, 0, 1, 1, 1, 2]])
+    def test_segment_max_same_values_on_and_off_tape(self, ids):
+        d = np.round(rng(15).normal(size=(6, 5)), 1)  # ties within a group
+        d[1, 0] = -0.0
+        n = ids[-1] + 1
+        off = T.segment_max(T.tensor(d), np.array(ids), n).data
+        with T.Tape():
+            on = T.segment_max(T.tensor(d, requires_grad=True), np.array(ids), n).data
+        assert off.tobytes() == on.tobytes()
 
     def test_segment_mean_grad_fd(self):
         r = rng(15)
