@@ -56,6 +56,8 @@ def _run_config(args, rest):
     rc = load_run_config(args.config, overrides)
     if getattr(args, "seed", None) is not None:
         rc.seed = args.seed
+    if rc.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {rc.seed}")
     if getattr(args, "test_mode", False):
         rc.test_mode = True
     return rc

@@ -152,10 +152,9 @@ def load_run_config(config=None, overrides=()):
         _apply({(section, key): raw}, "command line", values)
     rc = _build(values)
     rc.model.validate()
+    rc.training.validate()
     rc.data.validate()
     rc.eval.validate()
-    if rc.training.scale_range[0] > rc.training.scale_range[1]:
-        raise ConfigError("training.scale_min must be <= training.scale_max")
     return rc
 
 

@@ -316,8 +316,8 @@ class DataConfig:
                     raise ConfigError(f"unknown shape kind {k!r}; known: {', '.join(KINDS)}")
             if self.per_class < 0 or (self.per_class == 0 and self.total < len(self.kinds)):
                 raise ConfigError("need per_class >= 1 or total >= number of kinds")
-            if self.noise < 0:
-                raise ConfigError(f"noise must be >= 0, got {self.noise}")
+            if not 0 <= self.noise < np.inf:  # NaN fails too
+                raise ConfigError(f"noise must be >= 0 and finite, got {self.noise}")
         if not 0.0 < self.train_frac < 1.0:
             raise ConfigError(f"train_frac must lie in (0, 1), got {self.train_frac}")
         if self.num_points < 1:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError, NumericError
-from .model import encode_batch, hierarchy, pool_tokens
+from .model import encode_batch, hierarchy, init_params, pool_tokens
 from .rng import derive_rng
 from .training import OptimizerState, Schedule, adamw_step, lr_at
 
@@ -47,10 +47,11 @@ class EvalConfig:
                      "finetune_epochs", "finetune_batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"eval.{name} must be >= 1")
-        if self.probe_lr <= 0 or self.finetune_lr <= 0:
-            raise ConfigError("eval learning rates must be positive")
-        if self.probe_weight_decay < 0:
-            raise ConfigError("eval.probe_weight_decay must be >= 0")
+        # written so that NaN fails every check
+        if not (0 < self.probe_lr < math.inf and 0 < self.finetune_lr < math.inf):
+            raise ConfigError("eval learning rates must be positive and finite")
+        if not 0 <= self.probe_weight_decay < math.inf:
+            raise ConfigError("eval.probe_weight_decay must be >= 0 and finite")
         if self.finetune_warmup_epochs >= self.finetune_epochs:
             raise ConfigError("eval.finetune_warmup_epochs must be < finetune_epochs")
         return self
@@ -205,16 +206,7 @@ def head_shapes(feat_dim, num_classes):
 
 
 def init_head(feat_dim, num_classes, seed, dtype=np.float32):
-    rng = np.random.default_rng(seed)
-    head = {}
-    for name, shape in head_shapes(feat_dim, num_classes).items():
-        if len(shape) == 1:
-            arr = np.zeros(shape)
-        else:
-            bound = math.sqrt(6.0 / (shape[0] + shape[1]))
-            arr = rng.uniform(-bound, bound, size=shape)
-        head[name] = T.tensor(arr.astype(dtype), requires_grad=True)
-    return head
+    return init_params(head_shapes(feat_dim, num_classes), seed, dtype)
 
 
 def head_forward(head, feats):
@@ -247,7 +239,7 @@ def batch_gradients(model, head, wrt, labels, clouds=None, feats=None):
                 gf = T.tensor(feats[part])
             else:
                 top = encode_batch(model.params, model.config, reprs[part], assignments[part])[-1]
-                gf = pool_tokens(top, [a.num_visible(-1) for a in assignments[part]])
+                gf = pool_tokens(top, nb)
             loss = T.mul(T.softmax_cross_entropy(head_forward(head, gf), labels[part]), nb / m)
         loss_sum += float(loss.data)
         grads = tape.gradients(loss, wrt)

@@ -40,10 +40,6 @@ class MultiScaleRepr:
     def num_scales(self):
         return len(self.seeds)
 
-    @property
-    def counts(self):
-        return [s.shape[0] for s in self.seeds]
-
 
 @dataclass
 class MaskAssignment:

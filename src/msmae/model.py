@@ -189,12 +189,13 @@ def param_count(config):
     return sum(int(np.prod(s)) for s in param_shapes(config).values())
 
 
-def init_params(config, seed, dtype=np.float32):
-    """Fresh parameter dict: uniform +-sqrt(6/(fan_in+fan_out)) matrices,
-    zero biases, identity norms, mask token from N(0, 0.02^2)."""
+def init_params(shapes, seed, dtype=np.float32):
+    """Fresh trainable tensors for a name->shape dict, drawn in its order:
+    uniform +-sqrt(6/(fan_in+fan_out)) matrices, zero biases, identity
+    norms, mask token from N(0, 0.02^2)."""
     rng = np.random.default_rng(seed)
     params = {}
-    for name, shape in param_shapes(config).items():
+    for name, shape in shapes.items():
         if name == "mask_token":
             arr = rng.normal(0.0, 0.02, size=shape)
         elif name.endswith(".g"):
@@ -331,7 +332,7 @@ def embed_tokens(params, config, reprs, assignments):
     rel = np.concatenate(rel).astype(dtype)
     n, k, _ = rel.shape
     per_point = _mlp2(params, "embed.mlp1", T.tensor(rel.reshape(n * k, 3)))
-    pooled = T.segment_max(per_point, np.repeat(np.arange(n), k), n)
+    pooled = T.segment_max(per_point, n)
     return _mlp2(params, "embed.mlp2", pooled)
 
 
@@ -367,7 +368,7 @@ def merge_tokens(params, config, reprs, assignments, scale, feats):
     joined = T.concat([gathered, T.tensor(np.concatenate(rel).astype(feats.dtype))], axis=-1)
     flat = T.reshape(joined, (n * k, joined.shape[-1]))
     h = _mlp2(params, f"merge{scale}", flat)
-    return T.segment_max(h, np.repeat(np.arange(n), k), n)
+    return T.segment_max(h, n)
 
 
 def hierarchy(config, clouds, rngs=None, mask_ratio=None):
@@ -548,12 +549,11 @@ def forward_pretrain_batch(params, config, clouds, rngs):
     return reconstruct_batch(params, config, dec, reprs, assignments)[1]
 
 
-def pool_tokens(top, sizes):
-    """Global features (B, C) of B token sets packed cloud after cloud in
-    top, each set's max-pool plus its mean-pool; sizes are the sets' rows."""
-    B = len(sizes)
-    ids = np.repeat(np.arange(B), sizes)
-    return T.add(T.segment_max(top, ids, B), T.segment_mean(top, ids, B))
+def pool_tokens(top, B):
+    """Global features (B, C) of B equal-size token sets packed cloud after
+    cloud in top, each set's max-pool plus its mean-pool. Unmasked sets
+    qualify: every cloud has counts[-1] coarsest tokens."""
+    return T.add(T.segment_max(top, B), T.segment_mean(top, B))
 
 
 def extract_global_feature(params, config, points, scales=None):
@@ -563,7 +563,7 @@ def extract_global_feature(params, config, points, scales=None):
     """
     tokens, _, _ = encode(params, config, points, mask_ratio=0.0, scales=scales)
     top = tokens[-1]
-    return T.reshape(pool_tokens(top, [top.shape[0]]), (top.shape[-1],))
+    return T.reshape(pool_tokens(top, 1), (top.shape[-1],))
 
 
 class Model:
@@ -575,7 +575,7 @@ class Model:
 
     @classmethod
     def init(cls, config, seed, dtype=np.float32):
-        return cls(config, init_params(config, seed, dtype=dtype))
+        return cls(config, init_params(param_shapes(config), seed, dtype=dtype))
 
     def global_feature(self, points, scales=None):
         return extract_global_feature(self.params, self.config, points, scales)

@@ -14,14 +14,13 @@ Tensors hold a numpy array (row-major). Precision is whatever dtype the
 caller creates them with: models train in float32, gradient tests run in
 float64. Outside a tape every op is a plain numpy computation.
 
-A tape and the tensors it records are confined to one thread; the active
-tape stack is thread-local.
+The stack of active tapes is one module-level list: the program runs on
+one thread, and nested tapes record on the innermost.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -32,20 +31,11 @@ from .errors import ContractError, ShapeError
 GELU_C0 = math.sqrt(2.0 / math.pi)  # 0.7978845608028654
 GELU_C1 = 0.044715
 
-_STATE = threading.local()
-
-
-def _tape_stack():
-    stack = getattr(_STATE, "stack", None)
-    if stack is None:
-        stack = []
-        _STATE.stack = stack
-    return stack
+_TAPES = []  # active tapes, innermost last
 
 
 def _active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
 
 
 class Tensor:
@@ -90,11 +80,11 @@ class Tape:
         self._out_ids = set()
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
+        popped = _TAPES.pop()
         assert popped is self, "tape stack corrupted"
         return False
 
@@ -464,77 +454,46 @@ def scatter(x, index, n):
     return _make(data, (x,), vjp)
 
 
-def _segment_prep(x, segment_ids, num_segments):
-    ids = np.asarray(segment_ids)
-    if ids.ndim != 1 or ids.shape[0] != x.data.shape[0]:
-        raise ShapeError(f"segment ids {ids.shape} do not match leading dim of {x.data.shape}")
-    if ids.size == 0:
-        raise ContractError("segment pooling over an empty input")
-    if np.any(np.diff(ids) < 0):
-        raise ContractError("segment ids must be sorted ascending")
-    if ids[0] < 0 or ids[-1] >= num_segments:
-        raise ContractError("segment id outside [0, num_segments)")
-    counts = np.bincount(ids, minlength=num_segments)
-    if np.any(counts == 0):
-        missing = int(np.flatnonzero(counts == 0)[0])
-        raise ContractError(f"segment {missing} is empty; empty groups are a contract error")
-    return ids, counts
+def _group_size(x, num_segments):
+    n = x.data.shape[0]
+    if num_segments < 1 or n == 0 or n % num_segments:
+        raise ContractError(f"{n} rows do not split into {num_segments} non-empty equal groups")
+    return n // num_segments
 
 
-def segment_max(x, segment_ids, num_segments):
-    """Per-group max over contiguous sorted groups of leading-axis items.
+def segment_max(x, num_segments):
+    """Per-group max over num_segments equal contiguous groups of leading-axis rows.
 
     Gradient routes to the first maximal element of each group per channel.
     """
     x = as_tensor(x)
-    ids, counts = _segment_prep(x, segment_ids, num_segments)
+    k = _group_size(x, num_segments)
     d = x.data
-    uniform = counts.max() == counts.min()
-    recording = _active_tape() is not None and x.requires_grad
-    if uniform:
-        k = int(counts[0])
-        grouped = d.reshape((num_segments, k) + d.shape[1:])
-        if not recording:
-            return Tensor(grouped.max(axis=1))
-        arg = np.expand_dims(grouped.argmax(axis=1), 1)
-        data = np.take_along_axis(grouped, arg, axis=1)[:, 0]
+    grouped = d.reshape((num_segments, k) + d.shape[1:])
+    if _active_tape() is None or not x.requires_grad:
+        return Tensor(grouped.max(axis=1))
+    arg = np.expand_dims(grouped.argmax(axis=1), 1)
+    data = np.take_along_axis(grouped, arg, axis=1)[:, 0]
 
-        def vjp(g):
-            buf = np.zeros_like(grouped)
-            np.put_along_axis(buf, arg, np.expand_dims(g, 1), axis=1)
-            return (buf.reshape(d.shape),)
-
-    else:
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        data = np.maximum.reduceat(d, starts, axis=0)
-        if not recording:
-            return Tensor(data)
-        arg = np.empty((num_segments,) + d.shape[1:], dtype=np.int64)
-        for s in range(num_segments):
-            lo = starts[s]
-            arg[s] = lo + d[lo:lo + counts[s]].argmax(axis=0)
-
-        def vjp(g):
-            # (arg, col) pairs are distinct, so one += per entry is exact
-            buf = np.zeros_like(d)
-            flat_arg = arg.reshape(num_segments, -1)
-            buf.reshape(d.shape[0], -1)[flat_arg, np.arange(flat_arg.shape[1])] += g.reshape(num_segments, -1)
-            return (buf,)
+    def vjp(g):
+        buf = np.zeros_like(grouped)
+        np.put_along_axis(buf, arg, np.expand_dims(g, 1), axis=1)
+        return (buf.reshape(d.shape),)
 
     return _make(data, (x,), vjp)
 
 
-def segment_mean(x, segment_ids, num_segments):
-    """Per-group mean over contiguous sorted groups of leading-axis items."""
+def segment_mean(x, num_segments):
+    """Per-group mean over num_segments equal contiguous groups of leading-axis rows."""
     x = as_tensor(x)
-    ids, counts = _segment_prep(x, segment_ids, num_segments)
+    k = _group_size(x, num_segments)
     d = x.data
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    denom = counts.reshape((num_segments,) + (1,) * (d.ndim - 1)).astype(d.dtype)
-    data = np.add.reduceat(d, starts, axis=0) / denom
+    # reduceat, not reshape(...).sum(axis=1): the two round differently,
+    # and seeded runs keep reduceat's bits
+    data = np.add.reduceat(d, np.arange(0, d.shape[0], k), axis=0) / d.dtype.type(k)
 
     def vjp(g):
-        return ((g / denom)[ids],)
+        return (np.repeat(g / d.dtype.type(k), k, axis=0),)
 
     return _make(data, (x,), vjp)
 

@@ -158,8 +158,16 @@ class TrainConfig:
             raise ConfigError("epochs and batch_size must be >= 1")
         if self.warmup_epochs >= self.epochs:
             raise ConfigError(f"warmup_epochs {self.warmup_epochs} must be < epochs {self.epochs}")
-        if self.grad_clip < 0:
-            raise ConfigError("grad_clip must be >= 0")
+        # written so that NaN fails every check
+        if not 0 < self.base_lr < math.inf:
+            raise ConfigError(f"training.base_lr must be positive and finite, got {self.base_lr}")
+        for key, value in (("min_lr", self.min_lr), ("weight_decay", self.weight_decay),
+                           ("grad_clip", self.grad_clip), ("shift", self.shift_range),
+                           ("checkpoint_every", self.checkpoint_every)):
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"training.{key} must be >= 0 and finite, got {value}")
+        if not 0 < self.scale_range[0] <= self.scale_range[1] < math.inf:
+            raise ConfigError("training.scale_min must be positive and <= a finite training.scale_max")
         return self
 
 

@@ -84,6 +84,39 @@ class TestPretrain:
         assert code == 2  # 7 does not divide the channel widths
 
 
+def assert_one_error_line(code, capsys):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+class TestRejectedValues:
+    @pytest.mark.parametrize("key,value", [
+        ("training.shift", "nan"), ("training.base_lr", "nan"), ("training.weight_decay", "-1"),
+        ("training.min_lr", "-1"), ("training.scale_min", "-1"), ("training.grad_clip", "nan"),
+        ("training.checkpoint_every", "-1"), ("eval.probe_lr", "nan"),
+        ("eval.probe_weight_decay", "nan"), ("data.noise", "nan"),
+    ])
+    def test_out_of_range_value(self, tmp_path, capsys, key, value):
+        out = tmp_path / "run"
+        code = main(["pretrain", "--out", str(out), *TINY_DATA, *TINY_TRAIN, f"--{key}", value])
+        assert_one_error_line(code, capsys)
+        assert not out.exists()  # rejected before config.ini is written
+
+    @pytest.mark.parametrize("command", ["pretrain", "probe", "finetune", "ini"])
+    def test_negative_seed(self, tmp_path, capsys, command):
+        if command == "ini":
+            ini = tmp_path / "neg.ini"
+            ini.write_text("[run]\nseed = -1\n")
+            argv = ["pretrain", "--config", str(ini)]
+        else:
+            argv = [command, "--seed", "-1"] + ([] if command == "pretrain" else ["--random-init"])
+        code = main([*argv, "--out", str(tmp_path / "run"), *TINY_DATA, *TINY_TRAIN])
+        assert_one_error_line(code, capsys)
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")

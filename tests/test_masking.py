@@ -17,7 +17,7 @@ class TestBuildScales:
     def test_shapes_and_subset(self):
         pts = cloud(0, 200)
         repr = M.build_scales(pts, [64, 16, 4], [8, 4, 4])
-        assert repr.counts == [64, 16, 4]
+        assert [s.shape[0] for s in repr.seeds] == [64, 16, 4]
         assert [t.shape for t in repr.neighbor_index] == [(64, 8), (16, 4), (4, 4)]
         # seeds are actual parent points, FPS never invents coordinates
         for i in range(3):

@@ -84,16 +84,16 @@ class TestParams:
         assert M.param_count(no_local) == base
 
     def test_init_deterministic_and_finite(self):
-        a = M.init_params(SMALL, seed=3)
-        b = M.init_params(SMALL, seed=3)
+        a = M.init_params(M.param_shapes(SMALL), seed=3)
+        b = M.init_params(M.param_shapes(SMALL), seed=3)
         for n in a:
             assert np.array_equal(a[n].data, b[n].data)
             assert np.isfinite(a[n].data).all()
-        c = M.init_params(SMALL, seed=4)
+        c = M.init_params(M.param_shapes(SMALL), seed=4)
         assert not np.array_equal(a["embed.mlp1.w0"].data, c["embed.mlp1.w0"].data)
 
     def test_init_rules(self):
-        p = M.init_params(SMALL, seed=0)
+        p = M.init_params(M.param_shapes(SMALL), seed=0)
         assert (p["enc1.blk1.ln1.g"].data == 1.0).all()
         assert (p["enc1.blk1.ln1.b"].data == 0.0).all()
         assert (p["embed.mlp1.b0"].data == 0.0).all()
@@ -361,8 +361,7 @@ class TestGlobalFeature:
     def test_single_token_pooling(self):
         # max + mean of a single token is twice that token
         x = T.tensor(np.random.default_rng(23).normal(size=(1, 6)))
-        ids = np.zeros(1, dtype=np.int64)
-        pooled = T.add(T.segment_max(x, ids, 1), T.segment_mean(x, ids, 1))
+        pooled = M.pool_tokens(x, 1)
         assert np.allclose(pooled.data, 2 * x.data)
 
 

@@ -373,67 +373,60 @@ class TestScatter:
 
 class TestSegments:
     def test_segment_max_uniform(self):
-        x = T.tensor(np.array([[1.0], [5.0], [2.0], [7.0]]))
-        out = T.segment_max(x, np.array([0, 0, 1, 1]), 2)
-        assert np.array_equal(out.data, np.array([[5.0], [7.0]]))
-
-    def test_segment_max_ragged(self):
-        x = T.tensor(np.array([[1.0, 0.0], [5.0, -1.0], [2.0, 9.0]]))
-        out = T.segment_max(x, np.array([0, 0, 1]), 2)
-        assert np.array_equal(out.data, np.array([[5.0, 0.0], [2.0, 9.0]]))
+        x = T.tensor(np.array([[1.0, 0.0], [5.0, -1.0], [2.0, 9.0], [7.0, 3.0]]))
+        out = T.segment_max(x, 2)
+        assert np.array_equal(out.data, np.array([[5.0, 0.0], [7.0, 9.0]]))
 
     def test_segment_max_grad_routes_to_first_argmax(self):
         x = T.tensor(np.array([[2.0], [2.0], [1.0]]), requires_grad=True, dtype=np.float64)
         with T.Tape() as tape:
-            y = T.reduce_sum(T.segment_max(x, np.array([0, 0, 0]), 1))
+            y = T.reduce_sum(T.segment_max(x, 1))
         tape.backward(y)
         assert np.array_equal(x.grad, np.array([[1.0], [0.0], [0.0]]))
 
     def test_segment_max_grad_fd(self):
         r = rng(14)
-        ids = np.array([0, 0, 0, 1, 1, 2, 2, 2])
         w = r.normal(size=(3, 4))
-        fd_check(lambda x: T.reduce_sum(T.mul(T.segment_max(x, ids, 3), T.tensor(w))),
-                 [r.normal(size=(8, 4))])
+        fd_check(lambda x: T.reduce_sum(T.mul(T.segment_max(x, 3), T.tensor(w))),
+                 [r.normal(size=(9, 4))])
 
-    @pytest.mark.parametrize("ids", [[0, 0, 0, 1, 1, 1], [0, 0, 1, 1, 1, 2]])
-    def test_segment_max_same_values_on_and_off_tape(self, ids):
+    @pytest.mark.parametrize("groups", [2, 3])
+    def test_segment_max_same_values_on_and_off_tape(self, groups):
         d = np.round(rng(15).normal(size=(6, 5)), 1)  # ties within a group
         d[1, 0] = -0.0
-        n = ids[-1] + 1
-        off = T.segment_max(T.tensor(d), np.array(ids), n).data
+        off = T.segment_max(T.tensor(d), groups).data
         with T.Tape():
-            on = T.segment_max(T.tensor(d, requires_grad=True), np.array(ids), n).data
+            on = T.segment_max(T.tensor(d, requires_grad=True), groups).data
         assert off.tobytes() == on.tobytes()
 
     def test_segment_mean_grad_fd(self):
         r = rng(15)
-        ids = np.array([0, 0, 1, 1, 1, 2])
         w = r.normal(size=(3, 2))
-        fd_check(lambda x: T.reduce_sum(T.mul(T.segment_mean(x, ids, 3), T.tensor(w))),
+        fd_check(lambda x: T.reduce_sum(T.mul(T.segment_mean(x, 3), T.tensor(w))),
                  [r.normal(size=(6, 2))])
 
-    def test_empty_segment_raises(self):
-        x = T.tensor(np.zeros((2, 1)))
-        with pytest.raises(ContractError) as exc:
-            T.segment_max(x, np.array([0, 2]), 3)
-        assert "1" in str(exc.value)
+    def test_segment_max_ragged(self):
+        x = T.tensor(np.array([[1.0, 0.0], [5.0, -1.0], [2.0, 9.0]]))
+        for op in (T.segment_max, T.segment_mean):
+            with pytest.raises(ContractError) as exc:
+                op(x, 2)  # 3 rows do not split into 2 equal groups
+            assert "3 rows" in str(exc.value)
 
-    def test_unsorted_ids_raise(self):
-        with pytest.raises(ContractError):
-            T.segment_mean(T.tensor(np.zeros((2, 1))), np.array([1, 0]), 2)
+    def test_empty_segment_raises(self):
+        for op in (T.segment_max, T.segment_mean):
+            for rows, groups in [(4, 0), (0, 2)]:  # zero groups, zero rows
+                with pytest.raises(ContractError):
+                    op(T.tensor(np.zeros((rows, 2))), groups)
 
     @given(st.integers(0, 2 ** 20))
     @settings(max_examples=25, deadline=None)
     def test_segment_mean_matches_loop(self, seed):
         r = np.random.default_rng(seed)
-        m = int(r.integers(1, 5))
-        counts = r.integers(1, 4, size=m)
-        ids = np.repeat(np.arange(m), counts)
-        x = r.normal(size=(ids.size, 2))
-        out = T.segment_mean(T.tensor(x), ids, m).data
+        m, k = int(r.integers(1, 5)), int(r.integers(1, 4))
+        x = r.normal(size=(m * k, 2))
+        out = T.segment_mean(T.tensor(x), m).data
         for s in range(m):
-            assert np.allclose(out[s], x[ids == s].mean(axis=0))
+            assert np.allclose(out[s], x[s * k:(s + 1) * k].mean(axis=0))
 
 
 class TestShapesReductions:
