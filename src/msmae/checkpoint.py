@@ -10,7 +10,7 @@ Layout (all integers little-endian):
     optflag u8       0 = no optimizer section
     [step   u64, epoch u64, m-table, v-table]   when optflag == 1
     auxflag u8       0 = no auxiliary table
-    [aux-table]      extra named arrays (e.g. classifier head) when 1
+    [aux-table]      extra named arrays (classifier head, run digest) when 1
 
 A record is: name (u16 length + utf-8), rank (u8), extents (rank x u32),
 then the raw float32 payload. Values are stored verbatim, so a save/load

@@ -48,12 +48,13 @@ class EvalConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"eval.{name} must be >= 1")
         # written so that NaN fails every check
-        if not (0 < self.probe_lr < math.inf and 0 < self.finetune_lr < math.inf):
-            raise ConfigError("eval learning rates must be positive and finite")
+        if not (0 < self.probe_lr < math.inf and Schedule.min_lr <= self.finetune_lr < math.inf):
+            raise ConfigError("eval learning rates must be finite, probe_lr positive and finetune_lr "
+                              f">= {Schedule.min_lr}, the rate finetune decays to")
         if not 0 <= self.probe_weight_decay < math.inf:
             raise ConfigError("eval.probe_weight_decay must be >= 0 and finite")
-        if self.finetune_warmup_epochs >= self.finetune_epochs:
-            raise ConfigError("eval.finetune_warmup_epochs must be < finetune_epochs")
+        if not 0 <= self.finetune_warmup_epochs < self.finetune_epochs:
+            raise ConfigError("eval.finetune_warmup_epochs must lie in [0, finetune_epochs)")
         return self
 
 
@@ -266,7 +267,6 @@ def finetune(model, train_records, val_records, num_classes, ec, seed=0):
     Returns (ProbeResult on the validation split, head parameter dict).
     """
     ec.validate()
-    model.config.validate()
     batch_size, frozen = ec.finetune_batch_size, ec.freeze_encoder
     records = sorted(train_records, key=lambda r: r.id)
     if len(records) < batch_size:

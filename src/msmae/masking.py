@@ -58,24 +58,8 @@ def build_scales(points, counts, ks):
     of clouds with a shared point count (B, N, 3), which gives a list of B,
     each equal to a one-cloud call: every scale sorts the stacked clouds
     once (lex_order) and runs one fps and one knn over all of them.
-    counts must be strictly decreasing and below the input size; each k
-    must fit within the scale being grouped. Violations are configuration
-    errors, since both come straight from the model config.
     """
     pts = as_points(points, "points")
-    if len(counts) != len(ks):
-        raise ConfigError(f"counts {list(counts)} and ks {list(ks)} differ in length")
-    if len(counts) == 0:
-        raise ConfigError("at least one scale is required")
-    prev_n = pts.shape[-2]
-    for i, (n_i, k_i) in enumerate(zip(counts, ks)):
-        if n_i >= prev_n:
-            raise ConfigError(f"scale sizes must strictly decrease: scale {i + 1} has {n_i} >= {prev_n}")
-        if n_i < 1:
-            raise ConfigError(f"scale {i + 1} size must be >= 1, got {n_i}")
-        if not 1 <= k_i <= prev_n:
-            raise ConfigError(f"scale {i + 1} neighborhood k={k_i} exceeds parent size {prev_n}")
-        prev_n = n_i
     stack = pts.reshape(-1, *pts.shape[-2:])
     seeds, tables, parents = [], [], []
     src = stack
@@ -144,11 +128,14 @@ def independent_masks(repr, mask_ratio, rng):
     """Ablation: draw a fresh random mask at every scale, no back-projection.
 
     Deliberately breaks the cross-scale consistency that back_project
-    guarantees; verify_consistency exists to detect exactly that.
+    guarantees; verify_consistency exists to detect exactly that. From
+    scale 2 up, a visible seed with no visible neighbor below is hidden,
+    so every visible seed has something to pool (model.merge_tokens).
     """
-    return MaskAssignment(
-        visible=[sample_visible(s.shape[0], mask_ratio, rng) for s in repr.seeds]
-    )
+    visible = [sample_visible(s.shape[0], mask_ratio, rng) for s in repr.seeds]
+    for i in range(1, len(visible)):
+        visible[i] &= visible[i - 1][repr.neighbor_index[i]].any(axis=1)
+    return MaskAssignment(visible=visible)
 
 
 def verify_consistency(repr, assignment):

@@ -87,14 +87,17 @@ class ModelConfig:
             raise ConfigError("coarsest scale needs >= 3 seeds for 3-point interpolation")
         if any(b > a for a, b in zip(self.dims[1:], self.dims)):
             raise ConfigError(f"dims must be non-decreasing: {list(self.dims)}")
-        if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
-            raise ConfigError(f"radii must strictly increase: {list(self.radii)}")
+        # written so that NaN fails the radius and mask ratio checks
+        if not all(a < b for a, b in zip((0.0, *self.radii), (*self.radii, math.inf))):
+            raise ConfigError(f"radii must be positive, finite and strictly increase: {list(self.radii)}")
         if self.dims[0] < 2 or self.dims[0] % 2:
             raise ConfigError(f"first feature width must be even and >= 2, got {self.dims[0]}")
         if self.heads < 1 or any(d % self.heads for d in self.dims):
             raise ConfigError(f"heads={self.heads} must divide every width in {list(self.dims)}")
-        if not 0.0 <= self.mask_ratio <= 1.0:
-            raise ConfigError(f"mask_ratio must lie in [0, 1], got {self.mask_ratio}")
+        n = self.counts[-1]
+        if not (0.0 < self.mask_ratio < 1.0 and 1 <= math.floor(self.mask_ratio * n) < n):
+            raise ConfigError(f"mask_ratio {self.mask_ratio} must mask at least one and leave at "
+                              f"least one of the {n} coarsest seeds")
         if self.encoder_blocks_per_stage < 1 or self.decoder_blocks_per_stage < 1:
             raise ConfigError("block counts per stage must be >= 1")
         return self
@@ -340,26 +343,25 @@ def merge_tokens(params, config, reprs, assignments, scale, feats):
     """Pool scale-(scale-1) visible tokens into scale-`scale` visible tokens.
 
     scale is 1-based with scale >= 2; feats packs every cloud's
-    scale-(scale-1) tokens. Each visible seed gathers its k neighbor tokens
-    (closure guarantees they are visible), concatenates the neighbor's
-    seed-relative coordinate, applies an MLP and max-pools.
+    scale-(scale-1) tokens. Each visible seed gathers its k neighbor tokens,
+    concatenates the neighbor's seed-relative coordinate, applies an MLP
+    and max-pools. Back-projected masks keep every neighbor visible; under
+    independent masks (the ablation) a hidden neighbor repeats the row's
+    first visible one, so the max-pool runs over the visible neighbors.
     """
     i = scale - 1  # 0-based target scale index
     rows, rel = [], []
     start = 0
     for repr, assignment in zip(reprs, assignments):
         vis_below = assignment.visible[i - 1]
-        below_pos = np.full(vis_below.shape[0], -1, dtype=np.int64)
-        below = np.flatnonzero(vis_below)
-        below_pos[below] = start + np.arange(below.size)
-        start += below.size
+        below_pos = start + np.cumsum(vis_below) - 1  # feats row of each visible token
+        start += int(vis_below.sum())
         idx = np.flatnonzero(assignment.visible[i])
         neigh = repr.neighbor_index[i][idx]  # (n, k) indices into scale i-1
-        if (below_pos[neigh] < 0).any():
-            raise InvariantError(
-                f"merge at scale {scale}: a required neighbor token is masked; "
-                "visibility masks are not closure-consistent"
-            )
+        seen = vis_below[neigh]
+        if not seen.any(axis=1).all():
+            raise InvariantError(f"merge at scale {scale}: a visible seed has no visible neighbor token")
+        neigh = np.where(seen, neigh, neigh[np.arange(idx.size), seen.argmax(axis=1)][:, None])
         rows.append(below_pos[neigh])
         rel.append(repr.parent_points[i][neigh] - repr.seeds[i][idx][:, None, :])
     rows = np.concatenate(rows)
@@ -381,7 +383,6 @@ def hierarchy(config, clouds, rngs=None, mask_ratio=None):
     mask_ratio overrides the config value (0 disables masking and needs
     no rngs).
     """
-    config.validate()
     pts = [np.asarray(p, dtype=np.float64) for p in clouds]
     for p in pts:
         if p.ndim != 2 or p.shape[1] != 3:

@@ -200,17 +200,6 @@ def add(a, b):
     return _make(data, (a, b), vjp)
 
 
-def sub(a, b):
-    a = as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = as_tensor(b, like=a)
-    data = a.data - b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _make(data, (a, b), vjp)
-
-
 def mul(a, b):
     a = as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = as_tensor(b, like=a)

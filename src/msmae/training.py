@@ -17,17 +17,18 @@ losses, so its gradient is the batch-mean gradient directly.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
-from .codec import derived
+from .codec import derived, format_value
 from .errors import ConfigError, ContractError, NumericError
 from .model import forward_pretrain_batch, param_shapes
 from .rng import derive_rng
@@ -35,23 +36,17 @@ from .rng import derive_rng
 
 @dataclass
 class Schedule:
-    """Linear warmup to base_lr, then cosine decay to min_lr."""
+    """Linear warmup to base_lr, then cosine decay to min_lr.
+
+    Needs 0 <= warmup_epochs < total_epochs, min_lr <= base_lr and
+    steps_per_epoch >= 1; TrainConfig and EvalConfig hold the first two.
+    """
 
     base_lr: float
     total_epochs: int
     steps_per_epoch: int
     warmup_epochs: int = 0
     min_lr: float = 1e-6
-
-    def __post_init__(self):
-        if not 0 <= self.warmup_epochs < self.total_epochs:
-            raise ConfigError(
-                f"warmup_epochs {self.warmup_epochs} must lie in [0, total_epochs={self.total_epochs})"
-            )
-        if self.min_lr > self.base_lr:
-            raise ConfigError(f"min_lr {self.min_lr} exceeds base_lr {self.base_lr}")
-        if self.steps_per_epoch < 1:
-            raise ConfigError("steps_per_epoch must be >= 1")
 
     @property
     def total_steps(self):
@@ -74,8 +69,6 @@ def lr_at(step, sched):
         raise ContractError(f"step {step} outside [0, {total}]")
     if step < warm:
         return sched.base_lr * step / warm
-    if total == warm:
-        return sched.base_lr
     t = (step - warm) / (total - warm)
     return sched.min_lr + 0.5 * (sched.base_lr - sched.min_lr) * (1.0 + math.cos(math.pi * t))
 
@@ -156,8 +149,8 @@ class TrainConfig:
     def validate(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
-        if self.warmup_epochs >= self.epochs:
-            raise ConfigError(f"warmup_epochs {self.warmup_epochs} must be < epochs {self.epochs}")
+        if not 0 <= self.warmup_epochs < self.epochs:
+            raise ConfigError(f"training.warmup_epochs {self.warmup_epochs} must lie in [0, {self.epochs})")
         # written so that NaN fails every check
         if not 0 < self.base_lr < math.inf:
             raise ConfigError(f"training.base_lr must be positive and finite, got {self.base_lr}")
@@ -166,6 +159,8 @@ class TrainConfig:
                            ("checkpoint_every", self.checkpoint_every)):
             if not 0 <= value < math.inf:
                 raise ConfigError(f"training.{key} must be >= 0 and finite, got {value}")
+        if self.min_lr > self.base_lr:
+            raise ConfigError(f"training.min_lr {self.min_lr} exceeds training.base_lr {self.base_lr}")
         if not 0 < self.scale_range[0] <= self.scale_range[1] < math.inf:
             raise ConfigError("training.scale_min must be positive and <= a finite training.scale_max")
         return self
@@ -193,6 +188,19 @@ def _kept_metrics(path, step):
     return kept
 
 
+def _run_digest(tc, records):
+    """blake2b of the TrainConfig fields that shape a run and of the sorted
+    training records (ids and coordinates), one byte per float32 entry so
+    that checkpoints store it exactly as their "run.digest" aux record."""
+    h = hashlib.blake2b(digest_size=16)
+    for f in fields(tc):
+        if f.name not in ("out_dir", "test_mode", "checkpoint_every"):
+            h.update(f"{f.name}={format_value(getattr(tc, f.name))}\n".encode())
+    for r in records:
+        h.update(f"{r.id}\n".encode() + np.ascontiguousarray(r.points, dtype=np.float64).tobytes())
+    return np.frombuffer(h.digest(), dtype=np.uint8).astype(np.float32)
+
+
 def train(model, records, tc, resume=None):
     """Pretrain on DatasetRecord-like items (need .points and .id).
 
@@ -201,23 +209,27 @@ def train(model, records, tc, resume=None):
     Records are sorted by id first, so shard order never matters. A
     non-finite batch loss aborts with the failing step in the message.
     On resume, metrics lines of the steps the run redoes are dropped
-    before new ones are written.
+    before new ones are written, and a checkpoint whose run digest
+    (_run_digest) differs from this run's is refused: it cannot continue
+    exactly.
     """
     tc.validate()
-    model.config.validate()
     records = sorted(records, key=lambda r: r.id)
     if len(records) < tc.batch_size:
         raise ConfigError(f"batch_size {tc.batch_size} exceeds dataset size {len(records)}")
     steps_per_epoch = len(records) // tc.batch_size
+    digest = _run_digest(tc, records)
     sched = Schedule(base_lr=tc.base_lr, min_lr=tc.min_lr, warmup_epochs=tc.warmup_epochs,
                      total_epochs=tc.epochs, steps_per_epoch=steps_per_epoch)
     names = list(param_shapes(model.config))
     opt = OptimizerState.init(model.params, weight_decay=tc.weight_decay)
     start_epoch = 0
     if resume is not None:
-        config, params, packed, _ = load_checkpoint(resume)
+        config, params, packed, aux = load_checkpoint(resume)
         if config != model.config:
             raise ConfigError(f"checkpoint config in {resume} differs from the active config")
+        if "run.digest" in (aux or {}) and not np.array_equal(aux["run.digest"], digest):
+            raise ConfigError(f"{resume} comes from a run with other training settings or records")
         if packed is None:
             raise ConfigError(f"{resume} has no optimizer state; cannot resume training")
         for n in names:
@@ -264,11 +276,12 @@ def train(model, records, tc, resume=None):
                 step += 1
             if tc.checkpoint_every and (epoch + 1) % tc.checkpoint_every == 0 and epoch + 1 < tc.epochs:
                 metrics.flush()  # every line before a checkpoint is on disk before it
-                _save(model, opt, epoch + 1, os.path.join(tc.out_dir, f"checkpoint_epoch{epoch + 1:04d}.pm2a"))
-        _save(model, opt, tc.epochs, os.path.join(tc.out_dir, "checkpoint_final.pm2a"))
+                _save(model, opt, epoch + 1, digest,
+                      os.path.join(tc.out_dir, f"checkpoint_epoch{epoch + 1:04d}.pm2a"))
+        _save(model, opt, tc.epochs, digest, os.path.join(tc.out_dir, "checkpoint_final.pm2a"))
     return opt, last_loss
 
 
-def _save(model, opt, next_epoch, path):
+def _save(model, opt, next_epoch, digest, path):
     packed = {"step": opt.step, "epoch": next_epoch, "m": opt.m, "v": opt.v}
-    save_checkpoint(path, model.config, model.params, optimizer=packed)
+    save_checkpoint(path, model.config, model.params, optimizer=packed, aux={"run.digest": digest})

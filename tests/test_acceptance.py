@@ -115,7 +115,7 @@ def test_criterion_03_gradients_match_finite_differences():
     chamfer_target = arr(2, 5, 3)
     cases = [
         ("add", lambda a, b: dot(T.add(a, b)), [arr(3, 4), arr(3, 4)]),
-        ("sub", lambda a, b: dot(T.sub(a, b)), [arr(3, 4), arr(3, 4)]),
+        ("stacked matmul", lambda a, b: dot(T.matmul(a, b)), [arr(2, 3, 4), arr(2, 4, 5)]),
         ("mul", lambda a, b: dot(T.mul(a, b)), [arr(3, 4), arr(3, 4)]),
         ("broadcast add", lambda a, b: dot(T.add(a, b)), [arr(3, 4), arr(4)]),
         ("matmul", lambda a, b: dot(T.matmul(a, b)), [arr(3, 4), arr(4, 2)]),

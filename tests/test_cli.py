@@ -78,6 +78,14 @@ class TestPretrain:
                      "--training.epochs", "many"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["masking.multi_scale", "model.local_attention",
+                                      "model.skip_connections"])
+    def test_readme_ablation_trains(self, tmp_path, capsys, flag):
+        assert run_pretrain(tmp_path / "run", extra=[f"--{flag}", "false"]) == 0
+        assert np.isfinite(json.loads(capsys.readouterr().out)["final_loss"])
+        lines = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
+        assert lines and all(np.isfinite(json.loads(line)["loss"]) for line in lines)
+
     def test_invalid_model_shape_rejected(self, tmp_path):
         code = main(["pretrain", "--out", str(tmp_path / "x"),
                      "--model.heads", "7", *TINY_DATA])
@@ -98,6 +106,9 @@ class TestRejectedValues:
         ("training.min_lr", "-1"), ("training.scale_min", "-1"), ("training.grad_clip", "nan"),
         ("training.checkpoint_every", "-1"), ("eval.probe_lr", "nan"),
         ("eval.probe_weight_decay", "nan"), ("data.noise", "nan"),
+        ("model.radii", "nan,nan,nan"), ("training.warmup_epochs", "-1"),
+        ("training.min_lr", "0.01"), ("masking.ratio", "1.0"), ("masking.ratio", "0"),
+        ("eval.finetune_warmup_epochs", "-1"), ("eval.finetune_lr", "1e-7"),
     ])
     def test_out_of_range_value(self, tmp_path, capsys, key, value):
         out = tmp_path / "run"

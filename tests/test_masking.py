@@ -32,22 +32,20 @@ class TestBuildScales:
         assert repr.neighbor_index[1].max() < 32
 
     def test_monotonicity_enforced(self):
+        # ModelConfig.validate owns the rule; a cloud too small for the
+        # counts still fails in fps, as a contract error
         pts = cloud(2, 50)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError):
+            M.build_scales(pts, [60, 10], [4, 4])  # cloud smaller than counts[0]
+        with pytest.raises(ContractError):
             M.build_scales(pts, [20, 25], [4, 4])
-        with pytest.raises(ConfigError):
-            M.build_scales(pts, [50, 10], [4, 4])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError):
             M.build_scales(pts, [20, 0], [4, 4])
 
     def test_k_bound_enforced(self):
         pts = cloud(3, 50)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError):
             M.build_scales(pts, [20, 10], [4, 21])
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ConfigError):
-            M.build_scales(cloud(4, 50), [20, 10], [4])
 
     def test_stack_equals_one_cloud_calls(self):
         rng = np.random.default_rng(60)
@@ -188,3 +186,17 @@ class TestIndependentMasks:
         out = M.independent_masks(repr, 0.5, rng)
         assert out.num_visible(0) == 20
         assert out.num_visible(1) == 5
+
+    def test_visible_seeds_keep_a_visible_neighbor(self):
+        hidden = 0
+        for seed in range(25):
+            repr = M.build_scales(cloud(seed), [48, 16, 6], [6, 4, 3])
+            out = M.independent_masks(repr, 0.6, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)  # the same draws, before the rule
+            drawn = [M.sample_visible(s.shape[0], 0.6, rng) for s in repr.seeds]
+            assert np.array_equal(out.visible[0], drawn[0])
+            for i in range(1, 3):
+                has_neighbor = out.visible[i - 1][repr.neighbor_index[i]].any(axis=1)
+                assert np.array_equal(out.visible[i], drawn[i] & has_neighbor)
+                hidden += int((drawn[i] & ~has_neighbor).sum())
+        assert hidden > 0  # the rule fired on these draws

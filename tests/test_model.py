@@ -1,5 +1,7 @@
 """Model structure, locality, invariance, and gradient tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from msmae.data import DatasetRecord
 from msmae.errors import ConfigError, ContractError, InvariantError
 from msmae.geometry import radius_mask
 from msmae.evaluate import HIERARCHY_CHUNK, extract_features
-from msmae.masking import build_scales, independent_masks
+from msmae.masking import MaskAssignment, build_scales, verify_consistency
 
 SMALL = M.ModelConfig(num_points=128, counts=(64, 32, 8), dims=(32, 64, 128),
                       radii=(0.32, 0.64, 1.28), ks=(16, 8, 8),
@@ -41,8 +43,21 @@ class TestConfig:
             dict(radii=(0.32, 0.32, 1.28)),                             # non-increasing radii
             dict(heads=5),                                              # 5 does not divide 96
             dict(counts=(512, 256, 300)),                               # non-monotonic counts
+            dict(counts=(512, 600, 64)),                                # scale above its parent
+            dict(counts=(512, 256, 0)),                                 # empty scale
             dict(num_points=512),                                       # input not above scale 1
+            dict(ks=(16, 600, 8)),                                      # k above the parent size
+            dict(ks=(0, 8, 8)),
+            dict(ks=(16, 8)),                                           # mismatched lengths
+            dict(radii=(math.nan,) * 3),
+            dict(radii=(0.32, math.nan, 1.28)),
+            dict(radii=(0.0, 0.64, 1.28)),                              # zero radius
+            dict(radii=(0.32, 0.64, math.inf)),
             dict(mask_ratio=1.5),
+            dict(mask_ratio=1.0),                                       # no visible coarse seed
+            dict(mask_ratio=0.0),                                       # nothing to reconstruct
+            dict(mask_ratio=0.01),                                      # masks 0 of 64 seeds
+            dict(mask_ratio=math.nan),
             dict(counts=(512, 256, 2)),                                 # too few coarse seeds
         ]
         for kw in bad:
@@ -154,24 +169,41 @@ class TestMerge:
         out2 = M.merge_tokens(m.params, SMALL, [repr], [assignment], 2, feats)
         assert np.array_equal(out1.data, out2.data)
 
-    def test_masked_neighbor_is_invariant_violation(self):
+    def test_hidden_neighbor_pools_over_visible_ones(self):
         m = M.Model.init(SMALL, seed=0)
-        pts = cloud(3)
-        repr = build_scales(pts, list(SMALL.counts), list(SMALL.ks))
+        repr = build_scales(cloud(3), list(SMALL.counts), list(SMALL.ks))
         vis = [np.ones(c, dtype=bool) for c in SMALL.counts]
-        needed = repr.neighbor_index[1][0, 0]
-        vis[0][needed] = False  # hide a token scale 2 seed 0 requires
-        from msmae.masking import MaskAssignment
+        vis[0][repr.neighbor_index[1][0, 0]] = False  # hide a neighbor of scale-2 seed 0
+        assignment = MaskAssignment(visible=vis)
+        feats = M.embed_tokens(m.params, SMALL, [repr], [assignment])
+        out = M.merge_tokens(m.params, SMALL, [repr], [assignment], 2, feats)
+        row_of = np.cumsum(vis[0]) - 1
+        for j, neigh in enumerate(repr.neighbor_index[1]):
+            neigh = neigh[vis[0][neigh]]  # the visible neighbors alone
+            rel = repr.parent_points[1][neigh] - repr.seeds[1][j]
+            x = np.concatenate([feats.data[row_of[neigh]], rel.astype(np.float32)], axis=1)
+            want = M._mlp2(m.params, "merge2", T.tensor(x)).data.max(axis=0)
+            # the reference's matmuls have fewer rows: allow a few float32 ulps of rounding
+            np.testing.assert_allclose(out.data[j], want, rtol=1e-6, atol=1e-6)
+
+    def test_seed_without_visible_neighbor_is_invariant_violation(self):
+        m = M.Model.init(SMALL, seed=0)
+        repr = build_scales(cloud(3), list(SMALL.counts), list(SMALL.ks))
+        vis = [np.ones(c, dtype=bool) for c in SMALL.counts]
+        vis[0][repr.neighbor_index[1][0]] = False  # hide every neighbor of scale-2 seed 0
         assignment = MaskAssignment(visible=vis)
         feats_vis = M.embed_tokens(m.params, SMALL, [repr], [assignment])
         with pytest.raises(InvariantError):
             M.merge_tokens(m.params, SMALL, [repr], [assignment], 2, feats_vis)
 
-    def test_inconsistent_ablation_masks_break_encoding(self):
+    def test_independent_masks_encode(self):
         m = M.Model.init(SMALL, seed=0)
         cfg = M.ModelConfig(**{**SMALL.__dict__, "multi_scale_mask": False})
-        with pytest.raises(InvariantError):
-            M.encode(m.params, cfg, cloud(4), rng=np.random.default_rng(0))
+        tokens, repr, assignment = M.encode(m.params, cfg, cloud(4), rng=np.random.default_rng(0))
+        assert verify_consistency(repr, assignment)  # the masks are not closure-consistent
+        for i, t in enumerate(tokens):
+            assert t.shape[0] == assignment.num_visible(i)
+            assert np.isfinite(t.data).all()
 
 
 class TestAttentionLocality:

@@ -56,9 +56,9 @@ class TestElementwise:
         fd_check(lambda a, b: T.reduce_sum(T.mul(T.add(a, b), T.add(a, b))),
                  [r.normal(size=(3, 4)), r.normal(size=(4,))])
 
-    def test_sub_mul_grad(self):
+    def test_add_mul_grad(self):
         r = rng(2)
-        fd_check(lambda a, b: T.reduce_sum(T.mul(T.sub(a, b), a)),
+        fd_check(lambda a, b: T.reduce_sum(T.mul(T.add(a, b), a)),
                  [r.normal(size=(2, 3)), r.normal(size=(2, 1))])
 
     def test_scalar_operand_adopts_dtype(self):

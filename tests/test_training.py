@@ -11,6 +11,7 @@ from msmae import tensor as T
 from msmae import training as TR
 from msmae.data import DataConfig, make_dataset
 from msmae.errors import ConfigError, ContractError, NumericError
+from msmae.evaluate import EvalConfig
 
 TINY = M.ModelConfig(num_points=64, counts=(16, 8, 4), dims=(8, 16, 32),
                      radii=(0.32, 0.64, 1.28), ks=(8, 4, 4),
@@ -64,13 +65,22 @@ class TestSchedule:
             TR.lr_at(6, sched)
 
     def test_bad_config(self):
-        with pytest.raises(ConfigError):
-            TR.Schedule(base_lr=-1.0, total_epochs=1, steps_per_epoch=1)
-        with pytest.raises(ConfigError):
-            TR.Schedule(base_lr=1e-4, total_epochs=0, steps_per_epoch=1)
-        with pytest.raises(ConfigError):
-            TR.Schedule(base_lr=1e-4, total_epochs=2, steps_per_epoch=1,
-                        warmup_epochs=3)
+        # the schedule's rules belong to the configs its values come from
+        bad = [
+            TR.TrainConfig(base_lr=-1.0),
+            TR.TrainConfig(epochs=0, warmup_epochs=0),
+            TR.TrainConfig(epochs=2, warmup_epochs=3),
+            TR.TrainConfig(epochs=2, warmup_epochs=2),
+            TR.TrainConfig(warmup_epochs=-1),
+            TR.TrainConfig(base_lr=1e-4, min_lr=1e-3),
+            EvalConfig(finetune_epochs=2, finetune_warmup_epochs=2),
+            EvalConfig(finetune_warmup_epochs=-1),
+            EvalConfig(finetune_lr=TR.Schedule.min_lr / 2),  # below the rate finetune decays to
+            EvalConfig(finetune_lr=math.nan),
+        ]
+        for config in bad:
+            with pytest.raises(ConfigError):
+                config.validate()
 
 
 class TestAdamW:
@@ -302,6 +312,30 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             TR.train(other, records, self.make_tc(tmp_path, epochs=2),
                      resume=tmp_path / "checkpoint_final.pm2a")
+
+    def test_resume_with_other_training_run_rejected(self, tmp_path):
+        from msmae.checkpoint import load_checkpoint, save_checkpoint
+        records = tiny_records(8)
+        TR.train(M.Model.init(TINY, seed=0), records,
+                 self.make_tc(tmp_path / "a", epochs=2, checkpoint_every=1))
+        ckpt = tmp_path / "a" / "checkpoint_epoch0001.pm2a"
+        for change, recs in (({"base_lr": 0.5}, records), ({"seed": 1}, records),
+                             ({}, tiny_records(8, seed=1))):
+            with pytest.raises(ConfigError):
+                TR.train(M.Model.init(TINY, seed=0), recs,
+                         self.make_tc(tmp_path / "b", epochs=2, **change), resume=ckpt)
+        assert not (tmp_path / "b").exists()
+        # out_dir, test_mode and checkpoint_every do not shape the run
+        TR.train(M.Model.init(TINY, seed=0), records[::-1],
+                 self.make_tc(tmp_path / "c", epochs=2, test_mode=False), resume=ckpt)
+        final = "checkpoint_final.pm2a"
+        assert (tmp_path / "c" / final).read_bytes() == (tmp_path / "a" / final).read_bytes()
+        # a checkpoint written without the digest record still resumes
+        config, params, packed, aux = load_checkpoint(ckpt)
+        assert set(aux) == {"run.digest"}
+        save_checkpoint(tmp_path / "old.pm2a", config, params, optimizer=packed)
+        TR.train(M.Model.init(TINY, seed=0), records,
+                 self.make_tc(tmp_path / "d", epochs=2, base_lr=0.5), resume=tmp_path / "old.pm2a")
 
     def test_augmentation_changes_losses_not_determinism(self, tmp_path):
         records = tiny_records(8)
