@@ -11,17 +11,17 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import config_digest, load_run_config, make_train_config, resolved_text
-from .data import (DataConfig, load_pcb, load_xyz, make_dataset, make_records,
-                   save_xyz, write_dataset_dir)
+from .data import load_pcb, load_xyz, make_dataset, make_records, save_xyz, write_dataset_dir
 from .errors import ConfigError, ContractError, NumericError, ParseError
 from .evaluate import extract_features, few_shot_eval, finetune, linear_probe
-from .masking import back_project, build_scales, independent_masks, sample_visible, verify_consistency
-from .model import Model
+from .masking import build_scales, verify_consistency
+from .model import Model, draw_mask
 from .rng import derive_rng
 from .training import train
 
@@ -63,17 +63,24 @@ def _run_config(args, rest):
     return rc
 
 
-def _load_model(args, rc):
-    """Model from --checkpoint, or fresh weights with --random-init."""
-    if getattr(args, "random_init", False):
+def _eval_inputs(args, rest):
+    """(run config, model, (train, val) records) of an evaluation command.
+
+    The model comes from --checkpoint, or fresh weights with --random-init;
+    the clouds take its point count.
+    """
+    rc = _run_config(args, rest)
+    if args.random_init:
         _log(f"random-init encoder, seed {rc.seed}")
-        return Model.init(rc.model, seed=rc.seed)
-    if not getattr(args, "checkpoint", None):
+        model = Model.init(rc.model, seed=rc.seed)
+    elif not args.checkpoint:
         raise ConfigError("pass --checkpoint PATH or --random-init")
-    config, params, _, _ = load_checkpoint(args.checkpoint)
-    model = Model(config=config, params=params)
-    _log(f"loaded checkpoint {args.checkpoint}")
-    return model
+    else:
+        config, params, _, _ = load_checkpoint(args.checkpoint)
+        model = Model(config=config, params=params)
+        _log(f"loaded checkpoint {args.checkpoint}")
+    rc.data.num_points = model.config.num_points
+    return rc, model, make_dataset(rc.data)
 
 
 def _summary_row(out_dir, command, rc, metric, extra=""):
@@ -90,21 +97,18 @@ def _summary_row(out_dir, command, rc, metric, extra=""):
 def _eval_out_dir(args):
     if args.out:
         return args.out
-    if getattr(args, "checkpoint", None):
+    if args.checkpoint:
         return os.path.dirname(os.path.abspath(args.checkpoint))
     return "."
 
 
 def cmd_pretrain(args, rest):
     rc = _run_config(args, rest)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "config.ini"), "w") as fh:
-        fh.write(resolved_text(rc))
     train_recs, val_recs = make_dataset(rc.data)
     _log(f"dataset: {len(train_recs)} train / {len(val_recs)} val")
     model = Model.init(rc.model, seed=rc.seed)
     tc = make_train_config(rc, args.out)
-    opt, last_loss = train(model, train_recs, tc, resume=args.resume)
+    opt, last_loss = train(model, train_recs, tc, resume=args.resume, snapshot=resolved_text(rc))
     result = {
         "final_loss": last_loss,
         "steps": opt.step,
@@ -116,10 +120,7 @@ def cmd_pretrain(args, rest):
 
 
 def cmd_probe(args, rest):
-    rc = _run_config(args, rest)
-    model = _load_model(args, rc)
-    rc.data.num_points = model.config.num_points
-    train_recs, val_recs = make_dataset(rc.data)
+    rc, model, (train_recs, val_recs) = _eval_inputs(args, rest)
     _log(f"extracting features for {len(train_recs)} train / {len(val_recs)} val clouds")
     train_feats = extract_features(model, train_recs)
     val_feats = extract_features(model, val_recs)
@@ -137,17 +138,7 @@ def cmd_probe(args, rest):
 
 
 def cmd_fewshot(args, rest):
-    rc = _run_config(args, rest)
-    if args.way is not None:
-        rc.eval.way = args.way
-    if args.shot is not None:
-        rc.eval.shot = args.shot
-    if args.runs is not None:
-        rc.eval.runs = args.runs
-    rc.eval.validate()
-    model = _load_model(args, rc)
-    rc.data.num_points = model.config.num_points
-    train_recs, val_recs = make_dataset(rc.data)
+    rc, model, (train_recs, val_recs) = _eval_inputs(args, rest)
     records = sorted(train_recs + val_recs, key=lambda r: r.id)  # episode pool
     _log(f"extracting features for {len(records)} clouds")
     feats = extract_features(model, records)
@@ -164,12 +155,7 @@ def cmd_fewshot(args, rest):
 
 
 def cmd_finetune(args, rest):
-    rc = _run_config(args, rest)
-    if args.freeze_encoder:
-        rc.eval.freeze_encoder = True
-    model = _load_model(args, rc)
-    rc.data.num_points = model.config.num_points
-    train_recs, val_recs = make_dataset(rc.data)
+    rc, model, (train_recs, val_recs) = _eval_inputs(args, rest)
     num_classes = len({r.label for r in train_recs})
     e = rc.eval
     _log(f"finetuning on {len(train_recs)} clouds, {num_classes} classes, "
@@ -191,15 +177,12 @@ def cmd_finetune(args, rest):
 
 
 def cmd_gen_data(args, rest):
-    if rest:
-        raise ConfigError(f"unrecognized arguments: {rest}")
-    kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-    dc = DataConfig(source="synthetic", kinds=kinds, per_class=args.per_class,
-                    num_points=args.num_points, noise=args.noise, seed=args.seed,
-                    normalize=False)
-    records = make_records(dc)
-    write_dataset_dir(args.out, records, list(kinds))
-    result = {"out": args.out, "files": len(records), "classes": len(kinds)}
+    dc = _run_config(args, rest).data
+    if dc.source != "synthetic":
+        raise ConfigError(f"gen-data draws synthetic clouds; data.source is {dc.source!r}")
+    records = make_records(replace(dc, normalize=False))  # written as drawn
+    write_dataset_dir(args.out, records, list(dc.kinds))
+    result = {"out": args.out, "files": len(records), "classes": len(dc.kinds)}
     print(json.dumps(result))
     return 0
 
@@ -212,12 +195,7 @@ def cmd_inspect_mask(args, rest):
     else:
         pts = load_xyz(args.input)
     repr = build_scales(pts, list(cfg.counts), list(cfg.ks))
-    rng = derive_rng(rc.seed, "mask", 0)
-    if args.no_ms_mask or not cfg.multi_scale_mask:
-        assignment = independent_masks(repr, cfg.mask_ratio, rng)
-    else:
-        coarse = sample_visible(cfg.counts[-1], cfg.mask_ratio, rng)
-        assignment = back_project(repr, coarse)
+    assignment = draw_mask(cfg, repr, derive_rng(rc.seed, "mask", 0))
     os.makedirs(args.out, exist_ok=True)
     for i in range(repr.num_scales):
         vis = assignment.visible[i]
@@ -267,31 +245,20 @@ def _build_parser():
 
     p = sub.add_parser("fewshot", help="K-way N-shot episodes on frozen features")
     eval_common(p)
-    p.add_argument("--way", type=int, default=None)
-    p.add_argument("--shot", type=int, default=None)
-    p.add_argument("--runs", type=int, default=None)
     p.set_defaults(fn=cmd_fewshot)
 
     p = sub.add_parser("finetune", help="train a classification head (optionally end-to-end)")
     eval_common(p)
-    p.add_argument("--freeze-encoder", action="store_true", dest="freeze_encoder")
     p.set_defaults(fn=cmd_finetune)
 
-    data = DataConfig()
-    p = sub.add_parser("gen-data", help="write a synthetic PCB dataset directory")
-    p.add_argument("--out", required=True)
-    p.add_argument("--kinds", default=",".join(data.kinds))
-    p.add_argument("--per-class", type=int, default=8, dest="per_class")
-    p.add_argument("--num-points", type=int, default=data.num_points, dest="num_points")
-    p.add_argument("--noise", type=float, default=data.noise)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("gen-data", help="write the run's synthetic clouds as a PCB dataset directory")
+    p.add_argument("--config", default=None, help="profile name (desk, paper) or INI path")
+    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("inspect-mask", help="export per-scale visible/masked point sets")
     common(p, out_required=True)
     p.add_argument("--input", required=True, help=".xyz or .pcb point cloud")
-    p.add_argument("--no-ms-mask", action="store_true", dest="no_ms_mask",
-                   help="draw each scale's mask independently (ablation)")
     p.set_defaults(fn=cmd_inspect_mask)
     return parser
 

@@ -135,22 +135,14 @@ def extract_features(model, records):
     feats = []
     for start in range(0, len(records), HIERARCHY_CHUNK):
         part = records[start:start + HIERARCHY_CHUNK]
-        reprs, _ = hierarchy(model.config, [r.points for r in part], mask_ratio=0.0)
+        reprs, _ = hierarchy(model.config, [r.points for r in part])
         feats += [model.global_feature(r.points, s).data for r, s in zip(part, reprs)]
     return np.stack(feats)
 
 
-@dataclass
-class FewShotEpisode:
-    way: int
-    shot: int
-    train_rows: np.ndarray
-    test_rows: np.ndarray
-    run_seed: int
-
-
 def sample_episode(labels, way, shot, seed, run, queries=20):
-    """One K-way episode: `shot` support + `queries` query rows per class.
+    """One K-way episode, (train_rows, test_rows): `shot` support and
+    `queries` query rows per class.
 
     Classes are drawn without replacement from the sorted label set; rows
     within a class are permuted and split, so support and query never
@@ -172,8 +164,7 @@ def sample_episode(labels, way, shot, seed, run, queries=20):
         perm = rng.permutation(rows)
         train_rows.extend(perm[:shot])
         test_rows.extend(perm[shot:shot + queries])
-    return FewShotEpisode(way=way, shot=shot, train_rows=np.asarray(train_rows),
-                          test_rows=np.asarray(test_rows), run_seed=run)
+    return np.asarray(train_rows), np.asarray(test_rows)
 
 
 def few_shot_eval(features, labels, way, shot, runs=10, seed=0, queries=20, **probe_kw):
@@ -183,11 +174,11 @@ def few_shot_eval(features, labels, way, shot, runs=10, seed=0, queries=20, **pr
     labels = np.asarray(labels)
     accs = []
     for run in range(runs):
-        ep = sample_episode(labels, way, shot, seed, run, queries=queries)
-        remap = {int(c): i for i, c in enumerate(np.unique(labels[ep.train_rows]))}
-        ytr = np.asarray([remap[int(l)] for l in labels[ep.train_rows]])
-        yte = np.asarray([remap[int(l)] for l in labels[ep.test_rows]])
-        res = linear_probe(features[ep.train_rows], ytr, features[ep.test_rows], yte, **probe_kw)
+        train_rows, test_rows = sample_episode(labels, way, shot, seed, run, queries=queries)
+        remap = {int(c): i for i, c in enumerate(np.unique(labels[train_rows]))}
+        ytr = np.asarray([remap[int(l)] for l in labels[train_rows]])
+        yte = np.asarray([remap[int(l)] for l in labels[test_rows]])
+        res = linear_probe(features[train_rows], ytr, features[test_rows], yte, **probe_kw)
         accs.append(res.accuracy)
     accs = np.asarray(accs)
     return {"mean": float(accs.mean()), "std": float(accs.std()), "runs": [float(a) for a in accs],
@@ -230,7 +221,7 @@ def batch_gradients(model, head, wrt, labels, clouds=None, feats=None):
     """
     m = len(labels)
     if clouds is not None:
-        reprs, assignments = hierarchy(model.config, clouds, mask_ratio=0.0)
+        reprs, assignments = hierarchy(model.config, clouds)
     loss_sum, total = 0.0, None
     for lo in range(0, m, FINETUNE_TAPE_CLOUDS):
         part = slice(lo, lo + FINETUNE_TAPE_CLOUDS)

@@ -130,11 +130,19 @@ def independent_masks(repr, mask_ratio, rng):
     Deliberately breaks the cross-scale consistency that back_project
     guarantees; verify_consistency exists to detect exactly that. From
     scale 2 up, a visible seed with no visible neighbor below is hidden,
-    so every visible seed has something to pool (model.merge_tokens).
+    so every visible seed has something to pool (model.merge_tokens). A
+    scale left with no visible seed keeps seed 0 visible, and with it the
+    chain of first neighbors below (a seed's own point one scale down), so
+    no scale is ever empty.
     """
     visible = [sample_visible(s.shape[0], mask_ratio, rng) for s in repr.seeds]
     for i in range(1, len(visible)):
         visible[i] &= visible[i - 1][repr.neighbor_index[i]].any(axis=1)
+        if not visible[i].any():
+            seed = 0
+            for j in range(i, -1, -1):
+                visible[j][seed] = True
+                seed = repr.neighbor_index[j][seed, 0]
     return MaskAssignment(visible=visible)
 
 

@@ -373,15 +373,14 @@ def merge_tokens(params, config, reprs, assignments, scale, feats):
     return T.segment_max(h, n)
 
 
-def hierarchy(config, clouds, rngs=None, mask_ratio=None):
+def hierarchy(config, clouds, rngs=None):
     """Scales and visibility masks of a batch of clouds, plain numpy.
 
     clouds is a non-empty list of (N, 3) clouds that share N; their scales
     come from one stacked build_scales. rngs holds one generator per cloud,
-    each drawing only its own cloud's mask. Returns (reprs, assignments),
-    one of each per cloud, equal to what one-cloud calls would give.
-    mask_ratio overrides the config value (0 disables masking and needs
-    no rngs).
+    each drawing only its own cloud's mask (draw_mask); without rngs every
+    seed is visible. Returns (reprs, assignments), one of each per cloud,
+    equal to what one-cloud calls would give.
     """
     pts = [np.asarray(p, dtype=np.float64) for p in clouds]
     for p in pts:
@@ -393,19 +392,18 @@ def hierarchy(config, clouds, rngs=None, mask_ratio=None):
     rngs = [None] * len(reprs) if rngs is None else list(rngs)
     if len(rngs) != len(reprs):
         raise ContractError(f"{len(rngs)} rngs for {len(reprs)} clouds")
-    return reprs, [_mask(config, r, rng, mask_ratio) for r, rng in zip(reprs, rngs)]
+    return reprs, [draw_mask(config, r, rng) for r, rng in zip(reprs, rngs)]
 
 
-def _mask(config, repr, rng, mask_ratio):
-    """One cloud's visibility on its scales; see hierarchy."""
-    ratio = config.mask_ratio if mask_ratio is None else mask_ratio
-    if ratio == 0.0:
-        return MaskAssignment(visible=[np.ones(s.shape[0], dtype=bool) for s in repr.seeds])
+def draw_mask(config, repr, rng):
+    """One cloud's visibility on its scales at config.mask_ratio: drawn at
+    the coarsest scale and back-projected, or per scale under the
+    independent-mask ablation. rng None leaves every seed visible."""
     if rng is None:
-        raise ContractError("masking requires an rng")
+        return MaskAssignment(visible=[np.ones(s.shape[0], dtype=bool) for s in repr.seeds])
     if config.multi_scale_mask:
-        return back_project(repr, sample_visible(config.counts[-1], ratio, rng))
-    return independent_masks(repr, ratio, rng)
+        return back_project(repr, sample_visible(config.counts[-1], config.mask_ratio, rng))
+    return independent_masks(repr, config.mask_ratio, rng)
 
 
 def encode_batch(params, config, reprs, assignments):
@@ -434,19 +432,18 @@ def encode_batch(params, config, reprs, assignments):
     return tokens
 
 
-def encode(params, config, points, rng=None, mask_ratio=None, scales=None):
-    """Full encoder pass over one cloud.
+def encode(params, config, points, rng=None, scales=None):
+    """Full encoder pass over one cloud, masked with rng (see draw_mask).
 
     Returns (tokens, repr, assignment): tokens[i] is the visible token set
-    of scale i+1, rows ordered by ascending seed position. mask_ratio
-    overrides the config value (0 disables masking and needs no rng).
-    scales, when given, is the cloud's prebuilt MultiScaleRepr (from a
-    batched hierarchy call), used in place of building it again.
+    of scale i+1, rows ordered by ascending seed position. scales, when
+    given, is the cloud's prebuilt MultiScaleRepr (from a batched
+    hierarchy call), used in place of building it again.
     """
     if scales is None:
-        (scales,), (assignment,) = hierarchy(config, [points], [rng], mask_ratio)
+        (scales,), (assignment,) = hierarchy(config, [points], [rng])
     else:
-        assignment = _mask(config, scales, rng, mask_ratio)
+        assignment = draw_mask(config, scales, rng)
     return encode_batch(params, config, [scales], [assignment]), scales, assignment
 
 
@@ -562,7 +559,7 @@ def extract_global_feature(params, config, points, scales=None):
 
     scales, when given, is the cloud's prebuilt MultiScaleRepr (see encode).
     """
-    tokens, _, _ = encode(params, config, points, mask_ratio=0.0, scales=scales)
+    tokens, _, _ = encode(params, config, points, scales=scales)
     top = tokens[-1]
     return T.reshape(pool_tokens(top, 1), (top.shape[-1],))
 

@@ -201,17 +201,18 @@ def _run_digest(tc, records):
     return np.frombuffer(h.digest(), dtype=np.uint8).astype(np.float32)
 
 
-def train(model, records, tc, resume=None):
+def train(model, records, tc, resume=None, snapshot=None):
     """Pretrain on DatasetRecord-like items (need .points and .id).
 
     Emits one JSON metric line per optimizer step to out_dir/metrics.jsonl
-    and writes checkpoints under out_dir. Returns (opt_state, last_loss).
+    and writes checkpoints under out_dir, and the text `snapshot`, when
+    given, to out_dir/config.ini. Returns (opt_state, last_loss).
     Records are sorted by id first, so shard order never matters. A
     non-finite batch loss aborts with the failing step in the message.
     On resume, metrics lines of the steps the run redoes are dropped
     before new ones are written, and a checkpoint whose run digest
     (_run_digest) differs from this run's is refused: it cannot continue
-    exactly.
+    exactly. A refused resume writes nothing.
     """
     tc.validate()
     records = sorted(records, key=lambda r: r.id)
@@ -239,6 +240,9 @@ def train(model, records, tc, resume=None):
         if start_epoch >= tc.epochs:
             raise ConfigError(f"checkpoint already at epoch {start_epoch} of {tc.epochs}")
     os.makedirs(tc.out_dir, exist_ok=True)
+    if snapshot is not None:
+        with open(os.path.join(tc.out_dir, "config.ini"), "w") as fh:
+            fh.write(snapshot)
     metrics_path = os.path.join(tc.out_dir, "metrics.jsonl")
     step = opt.step
     kept = _kept_metrics(metrics_path, step) if resume is not None else []

@@ -88,7 +88,7 @@ def test_criterion_02_mask_back_projection_consistency(tmp_path, capsys):
     cloud = np.random.default_rng(0).standard_normal((cfg.num_points, 3))
     save_pcb(tmp_path / "cloud.pcb", cloud.astype(np.float32))
     assert cli(["inspect-mask", "--input", str(tmp_path / "cloud.pcb"),
-                "--out", str(tmp_path / "m"), "--seed", "0", "--no-ms-mask"]) == 0
+                "--out", str(tmp_path / "m"), "--seed", "0", "--masking.multi_scale", "false"]) == 0
     assert "closure: VIOLATED" in capsys.readouterr().out
 
     dt = time.perf_counter() - t0

@@ -1,7 +1,10 @@
 """End-to-end command-line tests, driven in process."""
 
+import argparse
 import dataclasses
 import json
+import os
+import re
 import warnings
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 
 from msmae import cli
 from msmae.cli import main
+from msmae.config import _KEYS, load_run_config
 from msmae.data import DataConfig, load_pcb, make_records, save_xyz
 
 TINY_DATA = ["--data.total", "16", "--data.split_seed", "1", "--data.train_frac", "0.5"]
@@ -67,6 +71,17 @@ class TestPretrain:
         default, _ = make_dataset(load_run_config(None, overrides).data)
         assert not np.array_equal(np.stack([r.points for r in seeded]),
                                   np.stack([r.points for r in default]))
+
+    def test_refused_resume_leaves_out_untouched(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        two_epochs = ["--training.epochs", "2", "--training.checkpoint_every", "1"]
+        assert run_pretrain(out, extra=two_epochs) == 0
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        code = run_pretrain(out, extra=[*two_epochs, "--training.base_lr", "0.5", "--resume",
+                                        str(out / "checkpoint_epoch0001.pm2a")])
+        assert code == 2
+        assert "other training settings" in capsys.readouterr().err
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
     def test_unknown_override_rejected(self, tmp_path, capsys):
         code = main(["pretrain", "--out", str(tmp_path / "x"), "--model.wings", "2"])
@@ -178,7 +193,7 @@ class TestProbe:
 class TestFewshot:
     def test_mean_and_std(self, trained, tmp_path, capsys):
         code = main(["fewshot", "--checkpoint", str(trained), "--out", str(tmp_path),
-                     "--way", "2", "--shot", "2", "--runs", "3",
+                     "--eval.way", "2", "--eval.shot", "2", "--eval.runs", "3",
                      "--data.total", "40", "--data.split_seed", "1",
                      "--data.train_frac", "0.5",
                      "--eval.queries", "2", "--eval.probe_iters", "50"])
@@ -192,7 +207,7 @@ class TestFewshot:
 class TestFinetune:
     def test_frozen_reuses_encoder_bits(self, trained, tmp_path, capsys):
         from msmae.checkpoint import load_checkpoint
-        code = main(["finetune", "--checkpoint", str(trained), "--freeze-encoder",
+        code = main(["finetune", "--checkpoint", str(trained), "--eval.freeze_encoder", "true",
                      "--out", str(tmp_path), *TINY_DATA,
                      "--eval.finetune_epochs", "2", "--eval.finetune_batch_size", "4",
                      "--eval.finetune_warmup_epochs", "0"])
@@ -229,8 +244,8 @@ class TestFinetune:
 
 class TestGenData:
     def test_count_arithmetic(self, tmp_path, capsys):
-        code = main(["gen-data", "--out", str(tmp_path / "ds"), "--per-class", "8",
-                     "--num-points", "32", "--seed", "5"])
+        code = main(["gen-data", "--out", str(tmp_path / "ds"), "--data.per_class", "8",
+                     "--data.seed", "5"])
         assert code == 0
         blob = json.loads(capsys.readouterr().out)
         assert blob["files"] == 40  # 5 kinds x 8
@@ -240,8 +255,8 @@ class TestGenData:
 
     def test_rerun_byte_identical(self, tmp_path):
         for d in ("a", "b"):
-            main(["gen-data", "--out", str(tmp_path / d), "--per-class", "2",
-                  "--num-points", "32", "--seed", "9"])
+            main(["gen-data", "--out", str(tmp_path / d), "--data.per_class", "2",
+                  "--data.seed", "9"])
         fa = sorted((tmp_path / "a").rglob("*.pcb"))
         fb = sorted((tmp_path / "b").rglob("*.pcb"))
         assert [f.name for f in fa] == [f.name for f in fb]
@@ -249,30 +264,53 @@ class TestGenData:
             assert x.read_bytes() == y.read_bytes()
 
     def test_unknown_kind(self, tmp_path, capsys):
-        code = main(["gen-data", "--out", str(tmp_path / "ds"), "--kinds", "dodecahedron"])
+        code = main(["gen-data", "--out", str(tmp_path / "ds"), "--data.kinds", "dodecahedron"])
         assert code == 2
         assert "dodecahedron" in capsys.readouterr().err
 
     def test_negative_noise_rejected(self, tmp_path, capsys):
-        code = main(["gen-data", "--out", str(tmp_path / "ds"), "--noise", "-0.1"])
+        code = main(["gen-data", "--out", str(tmp_path / "ds"), "--data.noise", "-0.1"])
         assert code == 2
         assert "noise" in capsys.readouterr().err
 
-    def test_defaults_follow_data_config(self, tmp_path, capsys, monkeypatch):
-        # gen-data takes its kinds, point count and noise from DataConfig,
-        # so a changed default there reaches the command
-        changed = dataclasses.make_dataclass(
-            "ChangedDataConfig", [("kinds", tuple, dataclasses.field(default=("torus", "plane"))),
-                                  ("num_points", int, dataclasses.field(default=24)),
-                                  ("noise", float, dataclasses.field(default=0.0))],
-            bases=(DataConfig,))
-        monkeypatch.setattr(cli, "DataConfig", changed)
-        assert main(["gen-data", "--out", str(tmp_path / "ds"), "--per-class", "2"]) == 0
-        assert json.loads(capsys.readouterr().out)["classes"] == 2
+    def test_writes_the_runs_unnormalized_records(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[data]\nkinds = torus,plane\nnoise = 0\n")
+        code = main(["gen-data", "--config", str(ini), "--out", str(tmp_path / "ds"),
+                     "--data.per_class", "2", "--model.num_points", "96",
+                     "--model.counts", "48,16,8"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == {"out": str(tmp_path / "ds"),
+                                                       "files": 4, "classes": 2}
         assert sorted(d.name for d in (tmp_path / "ds").iterdir() if d.is_dir()) == ["plane", "torus"]
-        points = load_pcb(tmp_path / "ds" / "plane" / "plane-00000.pcb")
-        assert points.shape == (24, 3)
-        assert np.abs(points[:, 2]).max() == 0.0  # a noiseless plane stays flat
+        rc = load_run_config(ini, [("data.per_class", "2"), ("model.num_points", "96"),
+                                   ("model.counts", "48,16,8")])
+        for rec in make_records(dataclasses.replace(rc.data, normalize=False)):
+            kind = rec.id.rsplit("-", 1)[0]
+            points = load_pcb(tmp_path / "ds" / kind / f"{rec.id}.pcb")
+            assert points.shape == (96, 3)
+            assert np.array_equal(points, rec.points.astype(np.float32))
+            if kind == "plane":  # noiseless and unnormalized, a plane stays flat
+                assert np.abs(points[:, 2]).max() == 0.0
+
+    def test_directory_source_rejected(self, tmp_path, capsys):
+        code = main(["gen-data", "--out", str(tmp_path / "ds"), "--data.source", str(tmp_path)])
+        assert_one_error_line(code, capsys)
+        assert not (tmp_path / "ds").exists()
+
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize("argv", [
+        ["fewshot", "--random-init", "--way", "2"], ["fewshot", "--random-init", "--shot", "2"],
+        ["fewshot", "--random-init", "--runs", "2"], ["finetune", "--random-init", "--freeze-encoder"],
+        ["inspect-mask", "--input", "cloud.xyz", "--no-ms-mask"], ["gen-data", "--kinds", "torus"],
+        ["gen-data", "--per-class", "2"], ["gen-data", "--num-points", "32"],
+        ["gen-data", "--noise", "0"], ["gen-data", "--seed", "5"],
+    ], ids=" ".join)
+    def test_exits_2(self, tmp_path, capsys, argv):
+        code = main([*argv, "--out", str(tmp_path / "out")])
+        assert_one_error_line(code, capsys)
+        assert not (tmp_path / "out").exists()
 
 
 class TestInspectMask:
@@ -297,7 +335,7 @@ class TestInspectMask:
     def test_ablation_violates_closure(self, tmp_path, capsys):
         cloud = self.make_cloud(tmp_path)
         code = main(["inspect-mask", "--input", str(cloud), "--out", str(tmp_path / "m"),
-                     "--seed", "2", "--no-ms-mask"])
+                     "--seed", "2", "--masking.multi_scale", "false"])
         assert code == 0
         assert "closure: VIOLATED" in capsys.readouterr().out
 
@@ -317,3 +355,18 @@ class TestInspectMask:
                      "--seed", "2"])
         assert code == 0
         assert "closure: OK" in capsys.readouterr().out
+
+
+def test_readme_flags_exist():
+    """Every --flag in README.md is an option of some subcommand or a
+    --section.key of the configuration (pip's own flags aside)."""
+    parser = cli._build_parser()
+    known = {opt for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+             for sub in action.choices.values() for a in sub._actions for opt in a.option_strings}
+    known |= {f"--{section}.{key}" for section, key in _KEYS}
+    known.add("--section.key")  # the README's name for any override
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        lines = [line for line in fh if not line.lstrip().startswith("pip ")]
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9_-]*(?:\.[a-z0-9_]+)?", "".join(lines)))
+    assert len(flags) > 10 and sorted(flags - known) == []

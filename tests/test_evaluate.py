@@ -83,26 +83,26 @@ class TestEpisodes:
     def test_shapes_and_disjointness(self):
         labels = np.repeat(np.arange(5), 40)
         for run in range(200):
-            ep = E.sample_episode(labels, way=3, shot=5, seed=0, run=run)
-            assert len(ep.train_rows) == 15
-            assert len(ep.test_rows) == 60
-            assert not set(ep.train_rows) & set(ep.test_rows)
-            cls = set(labels[ep.train_rows])
+            train_rows, test_rows = E.sample_episode(labels, way=3, shot=5, seed=0, run=run)
+            assert len(train_rows) == 15
+            assert len(test_rows) == 60
+            assert not set(train_rows) & set(test_rows)
+            cls = set(labels[train_rows])
             assert len(cls) == 3
-            assert set(labels[ep.test_rows]) == cls
+            assert set(labels[test_rows]) == cls
             # exactly shot support and queries per class
             for c in cls:
-                assert (labels[ep.train_rows] == c).sum() == 5
-                assert (labels[ep.test_rows] == c).sum() == 20
+                assert (labels[train_rows] == c).sum() == 5
+                assert (labels[test_rows] == c).sum() == 20
 
     def test_runs_differ_but_reproduce(self):
         labels = np.repeat(np.arange(5), 40)
-        a = E.sample_episode(labels, way=3, shot=5, seed=0, run=0)
-        b = E.sample_episode(labels, way=3, shot=5, seed=0, run=1)
-        c = E.sample_episode(labels, way=3, shot=5, seed=0, run=0)
-        assert list(a.train_rows) != list(b.train_rows)
-        assert list(a.train_rows) == list(c.train_rows)
-        assert list(a.test_rows) == list(c.test_rows)
+        a_train, a_test = E.sample_episode(labels, way=3, shot=5, seed=0, run=0)
+        b_train, _ = E.sample_episode(labels, way=3, shot=5, seed=0, run=1)
+        c_train, c_test = E.sample_episode(labels, way=3, shot=5, seed=0, run=0)
+        assert list(a_train) != list(b_train)
+        assert list(a_train) == list(c_train)
+        assert list(a_test) == list(c_test)
 
     def test_insufficient_samples_rejected(self):
         labels = np.repeat(np.arange(3), 10)  # 10 per class < 5 + 20

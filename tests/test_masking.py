@@ -200,3 +200,20 @@ class TestIndependentMasks:
                 assert np.array_equal(out.visible[i], drawn[i] & has_neighbor)
                 hidden += int((drawn[i] & ~has_neighbor).sum())
         assert hidden > 0  # the rule fired on these draws
+
+    def test_no_scale_left_empty(self):
+        # on this draw the neighbour rule alone hides every coarsest seed
+        repr = M.build_scales(cloud(84), [64, 32, 8], [16, 8, 8])
+        rng = np.random.default_rng(84)
+        ruled = [M.sample_visible(s.shape[0], 0.8, rng) for s in repr.seeds]
+        for i in (1, 2):
+            ruled[i] &= ruled[i - 1][repr.neighbor_index[i]].any(axis=1)
+        assert not ruled[2].any()
+        out = M.independent_masks(repr, 0.8, np.random.default_rng(84))
+        assert np.flatnonzero(out.visible[2]).tolist() == [0]
+        seed = 0
+        for i in (2, 1, 0):  # seed 0 and its chain of first neighbours below
+            assert out.visible[i][seed]
+            seed = repr.neighbor_index[i][seed, 0]
+        for i in (1, 2):
+            assert out.visible[i - 1][repr.neighbor_index[i][out.visible[i]]].any(axis=1).all()

@@ -127,8 +127,8 @@ class TestEmbed:
     def test_translation_invariant(self):
         m = M.Model.init(SMALL, seed=0)
         pts = cloud(1)
-        a, _, _ = M.encode(m.params, SMALL, pts, mask_ratio=0.0)
-        b, _, _ = M.encode(m.params, SMALL, pts + np.array([5.0, -3.0, 2.0]), mask_ratio=0.0)
+        a, _, _ = M.encode(m.params, SMALL, pts)
+        b, _, _ = M.encode(m.params, SMALL, pts + np.array([5.0, -3.0, 2.0]))
         # embedding sees relative coordinates only; attention sees absolute
         # positions, so compare the embedding layer output directly
         repr_a = build_scales(pts, list(SMALL.counts), list(SMALL.ks))
@@ -205,6 +205,13 @@ class TestMerge:
             assert t.shape[0] == assignment.num_visible(i)
             assert np.isfinite(t.data).all()
 
+    def test_independent_masks_one_cloud_batch_trains(self):
+        # the neighbour rule alone hides every coarsest seed of this draw
+        cfg = M.ModelConfig(**{**SMALL.__dict__, "multi_scale_mask": False})
+        m = M.Model.init(cfg, seed=0)
+        loss = M.forward_pretrain_batch(m.params, cfg, [cloud(84)], [np.random.default_rng(84)])
+        assert np.isfinite(loss.data)
+
 
 class TestAttentionLocality:
     def test_beyond_radius_weight_exactly_zero(self):
@@ -279,18 +286,21 @@ class TestEncodeDecode:
 
     def test_no_mask_counts(self):
         m = M.Model.init(SMALL, seed=0)
-        tokens, _, _ = M.encode(m.params, SMALL, cloud(11), mask_ratio=0.0)
+        tokens, _, _ = M.encode(m.params, SMALL, cloud(11))
         assert [t.shape[0] for t in tokens] == [64, 32, 8]
 
     def test_too_few_points_rejected(self):
         m = M.Model.init(SMALL, seed=0)
         with pytest.raises(ContractError):
-            M.encode(m.params, SMALL, cloud(12, n=100), mask_ratio=0.0)
+            M.encode(m.params, SMALL, cloud(12, n=100))
 
-    def test_masking_requires_rng(self):
+    def test_no_rng_leaves_every_seed_visible(self):
         m = M.Model.init(SMALL, seed=0)
-        with pytest.raises(ContractError):
-            M.encode(m.params, SMALL, cloud(13))
+        independent = M.ModelConfig(**{**SMALL.__dict__, "multi_scale_mask": False})
+        for cfg in (SMALL, independent):
+            tokens, _, assignment = M.encode(m.params, cfg, cloud(13))
+            assert all(v.all() for v in assignment.visible)
+            assert [t.shape[0] for t in tokens] == list(cfg.counts)
 
     def test_loss_nonnegative_on_random_clouds(self):
         m = M.Model.init(SMALL, seed=1)
@@ -334,7 +344,7 @@ class TestEncodeDecode:
 
     def test_reconstruct_requires_masked_tokens(self):
         m = M.Model.init(SMALL, seed=0)
-        tokens, repr, assignment = M.encode(m.params, SMALL, cloud(17), mask_ratio=0.0)
+        tokens, repr, assignment = M.encode(m.params, SMALL, cloud(17))
         dec = M.decode(m.params, SMALL, tokens, repr, assignment)
         with pytest.raises(ContractError):
             M.reconstruct(m.params, SMALL, dec, repr, assignment)
@@ -637,7 +647,7 @@ class TestBatchedHierarchy:
 
     def test_mixed_point_counts_rejected(self):
         with pytest.raises(ContractError):
-            M.hierarchy(SMALL, [cloud(1), cloud(2, n=130)], mask_ratio=0.0)
+            M.hierarchy(SMALL, [cloud(1), cloud(2, n=130)])
         with pytest.raises(ContractError):
             M.hierarchy(SMALL, [cloud(1), cloud(2)], [np.random.default_rng(0)])
 
