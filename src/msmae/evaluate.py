@@ -5,10 +5,10 @@ gradient descent from a zero initialization: fully deterministic, no rng
 involved. Features are standardized with train-split statistics first.
 Few-shot evaluation draws K-way (N support + 20 query)-per-class episodes
 from precomputed features. Finetuning puts a 3-layer MLP head on the
-pooled global feature and trains with the same optimizer machinery as
-pretraining, optionally with the encoder frozen. A finetune step builds
-its batch's hierarchies in one stacked call and then runs
-FINETUNE_TAPE_CLOUDS clouds per tape, their token rows packed as in
+pooled global feature and trains it, optionally with the encoder, in
+pretraining's loop (training.batches, tape_gradients, apply_step). An
+end-to-end step builds its batch's hierarchies in one stacked call, then
+runs FINETUNE_TAPE_CLOUDS clouds per tape, their token rows packed as in
 pretraining; more clouds per tape would hold more activations at once.
 EvalConfig holds the settings of all three: the run's [eval] section.
 """
@@ -21,10 +21,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ConfigError, ContractError
 from .model import encode_batch, hierarchy, init_params, pool_tokens
 from .rng import derive_rng
-from .training import OptimizerState, Schedule, adamw_step, lr_at
+from .training import OptimizerState, Schedule, apply_step, batches, tape_gradients
+from .training import adamw_step  # kept: perfbench/tracing.py rebinds evaluate.adamw_step
 
 
 @dataclass
@@ -210,39 +211,6 @@ def head_forward(head, feats):
 FINETUNE_TAPE_CLOUDS = 2  # clouds per tape in a finetune step; more would raise peak memory
 
 
-def batch_gradients(model, head, wrt, labels, clouds=None, feats=None):
-    """(loss, gradients for wrt) of the mean cross-entropy over one batch.
-
-    Pass clouds to run the encoder on the tape (their hierarchies are
-    built in one stacked call, unmasked), or feats, precomputed (M, C)
-    global features, for a frozen encoder. Consecutive groups of
-    FINETUNE_TAPE_CLOUDS clouds share a tape; a group's loss weighs
-    nb / M, so the summed losses and gradients are those of the batch mean.
-    """
-    m = len(labels)
-    if clouds is not None:
-        reprs, assignments = hierarchy(model.config, clouds)
-    loss_sum, total = 0.0, None
-    for lo in range(0, m, FINETUNE_TAPE_CLOUDS):
-        part = slice(lo, lo + FINETUNE_TAPE_CLOUDS)
-        nb = len(labels[part])
-        with T.Tape() as tape:
-            if clouds is None:
-                gf = T.tensor(feats[part])
-            else:
-                top = encode_batch(model.params, model.config, reprs[part], assignments[part])[-1]
-                gf = pool_tokens(top, nb)
-            loss = T.mul(T.softmax_cross_entropy(head_forward(head, gf), labels[part]), nb / m)
-        loss_sum += float(loss.data)
-        grads = tape.gradients(loss, wrt)
-        if total is None:  # copies: two gradients may share one array
-            total = [g.copy() for g in grads]
-        else:
-            for acc, g in zip(total, grads):
-                acc += g
-    return loss_sum, total
-
-
 def finetune(model, train_records, val_records, num_classes, ec, seed=0):
     """Train the MLP head (and optionally the encoder) for classification.
 
@@ -251,10 +219,10 @@ def finetune(model, train_records, val_records, num_classes, ec, seed=0):
     Schedule defaults. seed draws the head and the shuffles. Masking
     is off throughout: features come from the full cloud. A step's
     gradient is the batch mean, from FINETUNE_TAPE_CLOUDS clouds per tape
-    (batch_gradients). With freeze_encoder the features are precomputed
-    once, without a tape, and only the head is updated, so the encoder's
-    parameters are bit-identical afterwards. A non-finite batch loss
-    raises NumericError before its step is applied.
+    (training.tape_gradients). With freeze_encoder the features are
+    precomputed once, without a tape, and only the head is updated, so the
+    encoder's parameters are bit-identical afterwards. A non-finite batch
+    loss raises NumericError (training.apply_step) before its step is applied.
     Returns (ProbeResult on the validation split, head parameter dict).
     """
     ec.validate()
@@ -262,30 +230,24 @@ def finetune(model, train_records, val_records, num_classes, ec, seed=0):
     records = sorted(train_records, key=lambda r: r.id)
     if len(records) < batch_size:
         raise ConfigError(f"batch_size {batch_size} exceeds train size {len(records)}")
-    feat_dim = model.config.dims[-1]
-    head = init_head(feat_dim, num_classes, seed)
+    head = init_head(model.config.dims[-1], num_classes, seed)
     cached = extract_features(model, records) if frozen else None
     trainable = dict(head) if frozen else {**model.params, **head}
-    names, wrt = list(trainable), list(trainable.values())
     opt = OptimizerState.init(trainable)
-    steps_per_epoch = len(records) // batch_size
     sched = Schedule(base_lr=ec.finetune_lr, warmup_epochs=ec.finetune_warmup_epochs,
-                     total_epochs=ec.finetune_epochs, steps_per_epoch=steps_per_epoch)
+                     total_epochs=ec.finetune_epochs, steps_per_epoch=len(records) // batch_size)
     labels = np.asarray([r.label for r in records])
-    step = 0
-    for epoch in range(ec.finetune_epochs):
-        order = derive_rng(seed, "shuffle", epoch).permutation(len(records))
-        for b in range(steps_per_epoch):
-            batch = order[b * batch_size:(b + 1) * batch_size]
-            if frozen:
-                loss, grads = batch_gradients(model, head, wrt, labels[batch], feats=cached[batch])
-            else:
-                loss, grads = batch_gradients(model, head, wrt, labels[batch],
-                                              clouds=[records[i].points for i in batch.tolist()])
-            if not math.isfinite(loss):
-                raise NumericError(f"non-finite finetune loss at step {step} (epoch {epoch})")
-            adamw_step(trainable, dict(zip(names, grads)), opt, lr_at(step + 1, sched))
-            step += 1
+    for epoch, rows in batches(len(records), batch_size, seed, 0, ec.finetune_epochs):
+        if frozen:
+            features = lambda part: T.tensor(cached[rows][part])
+        else:
+            reprs, assignments = hierarchy(model.config, [records[i].points for i in rows.tolist()])
+            features = lambda part: pool_tokens(encode_batch(
+                model.params, model.config, reprs[part], assignments[part])[-1], len(reprs[part]))
+        loss, grads = tape_gradients(
+            lambda part: T.softmax_cross_entropy(head_forward(head, features(part)), labels[rows][part]),
+            len(rows), trainable, FINETUNE_TAPE_CLOUDS)
+        apply_step(trainable, grads, opt, sched, loss, epoch, "finetune")
     val = sorted(val_records, key=lambda r: r.id)
     logits = head_forward(head, T.tensor(extract_features(model, val).astype(np.float32))).data
     labels = np.asarray([r.label for r in val])

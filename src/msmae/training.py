@@ -30,7 +30,7 @@ from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .codec import derived, format_value
 from .errors import ConfigError, ContractError, NumericError
-from .model import forward_pretrain_batch, param_shapes
+from .model import forward_pretrain_batch
 from .rng import derive_rng
 
 
@@ -115,6 +115,58 @@ def adamw_step(params, grads, state, lr):
         if state.weight_decay and _decays(name):
             p.data -= lr * state.weight_decay * p.data
         p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+
+def batches(n, batch_size, seed, start_epoch, epochs):
+    """(epoch, rows) of every step from start_epoch on: each epoch's
+    "shuffle" permutation of n rows cut into full batches, the last
+    partial batch dropped."""
+    for epoch in range(start_epoch, epochs):
+        order = derive_rng(seed, "shuffle", epoch).permutation(n)
+        for b in range(n // batch_size):
+            yield epoch, order[b * batch_size:(b + 1) * batch_size]
+
+
+def tape_gradients(loss_of, m, params, group=None):
+    """(loss, gradients in params order) of the mean loss over m batch rows.
+
+    loss_of(part) records on the open tape the mean loss of the rows in
+    the slice `part`. Slices of `group` rows run on a tape each, weighed
+    by nb / m, and their losses and gradients are summed. A batch on one
+    tape adds no weighing node and copies no gradient.
+    """
+    group = group or m
+    loss_sum, total = 0.0, None
+    for lo in range(0, m, group):
+        nb = min(group, m - lo)
+        with T.Tape() as tape:
+            loss = loss_of(slice(lo, lo + nb))
+            if nb < m:
+                loss = T.mul(loss, nb / m)
+        loss_sum += float(loss.data)
+        grads = tape.gradients(loss, list(params.values()))
+        if total is None:  # copies: two gradients may share one array
+            total = grads if nb == m else [g.copy() for g in grads]
+        else:
+            for acc, g in zip(total, grads):
+                acc += g
+    return loss_sum, total
+
+
+def apply_step(params, grads, opt, sched, loss, epoch, what="training", grad_clip=0.0):
+    """AdamW step on params from a batch's loss and gradients (in params
+    order), clipped to global norm grad_clip when > 0; returns the rate.
+    A non-finite loss raises NumericError first, naming `what` and where."""
+    if not math.isfinite(loss):
+        raise NumericError(f"non-finite {what} loss at step {opt.step} (epoch {epoch})")
+    grads = dict(zip(params, grads))
+    if grad_clip > 0.0:
+        norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        if norm > grad_clip:  # new arrays: two gradients may share one
+            grads = {n: g * (grad_clip / norm) for n, g in grads.items()}
+    lr = lr_at(opt.step + 1, sched)  # step s applies the rate at position s+1
+    adamw_step(params, grads, opt, lr)
+    return lr
 
 
 def augment(points, rng, scale_range=(0.8, 1.25), shift_range=0.1):
@@ -222,7 +274,6 @@ def train(model, records, tc, resume=None, snapshot=None):
     digest = _run_digest(tc, records)
     sched = Schedule(base_lr=tc.base_lr, min_lr=tc.min_lr, warmup_epochs=tc.warmup_epochs,
                      total_epochs=tc.epochs, steps_per_epoch=steps_per_epoch)
-    names = list(param_shapes(model.config))
     opt = OptimizerState.init(model.params, weight_decay=tc.weight_decay)
     start_epoch = 0
     if resume is not None:
@@ -233,8 +284,8 @@ def train(model, records, tc, resume=None, snapshot=None):
             raise ConfigError(f"{resume} comes from a run with other training settings or records")
         if packed is None:
             raise ConfigError(f"{resume} has no optimizer state; cannot resume training")
-        for n in names:
-            model.params[n].data = params[n].data
+        for n, p in model.params.items():
+            p.data = params[n].data
         opt.m, opt.v, opt.step = packed["m"], packed["v"], int(packed["step"])
         start_epoch = int(packed["epoch"])
         if start_epoch >= tc.epochs:
@@ -244,44 +295,30 @@ def train(model, records, tc, resume=None, snapshot=None):
         with open(os.path.join(tc.out_dir, "config.ini"), "w") as fh:
             fh.write(snapshot)
     metrics_path = os.path.join(tc.out_dir, "metrics.jsonl")
-    step = opt.step
-    kept = _kept_metrics(metrics_path, step) if resume is not None else []
+    kept = _kept_metrics(metrics_path, opt.step) if resume is not None else []
     last_loss = math.nan
     with open(metrics_path, "w") as metrics:
         metrics.writelines(kept)
-        for epoch in range(start_epoch, tc.epochs):
-            order = derive_rng(tc.seed, "shuffle", epoch).permutation(len(records))
-            for b in range(steps_per_epoch):
-                t0 = time.monotonic()
-                clouds, mask_rngs = [], []
-                for i in order[b * tc.batch_size:(b + 1) * tc.batch_size].tolist():
-                    pts = records[i].points
-                    if tc.augment:
-                        pts = augment(pts, derive_rng(tc.seed, "augment", epoch, i),
-                                      tc.scale_range, tc.shift_range)
-                    clouds.append(pts)
-                    mask_rngs.append(derive_rng(tc.seed, "mask", epoch, i))
-                with T.Tape() as tape:
-                    loss = forward_pretrain_batch(model.params, model.config, clouds, mask_rngs)
-                batch_loss = float(loss.data)
-                if not math.isfinite(batch_loss):
-                    raise NumericError(f"non-finite training loss at step {step} (epoch {epoch})")
-                grads = dict(zip(names, tape.gradients(loss, [model.params[n] for n in names])))
-                if tc.grad_clip > 0.0:
-                    norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-                    if norm > tc.grad_clip:  # new arrays: two gradients may share one
-                        grads = {n: g * (tc.grad_clip / norm) for n, g in grads.items()}
-                lr = lr_at(step + 1, sched)  # step s applies the rate at position s+1
-                adamw_step(model.params, grads, opt, lr)
-                last_loss = batch_loss
-                wall = 0 if tc.test_mode else int((time.monotonic() - t0) * 1000)
-                metrics.write(json.dumps({"step": step, "epoch": epoch, "loss": batch_loss,
-                                          "lr": lr, "wall_ms": wall}) + "\n")
-                step += 1
-            if tc.checkpoint_every and (epoch + 1) % tc.checkpoint_every == 0 and epoch + 1 < tc.epochs:
+        for epoch, rows in batches(len(records), tc.batch_size, tc.seed, start_epoch, tc.epochs):
+            t0 = time.monotonic()
+            rows = rows.tolist()
+            clouds = [records[i].points for i in rows]
+            if tc.augment:
+                clouds = [augment(pts, derive_rng(tc.seed, "augment", epoch, i), tc.scale_range,
+                                  tc.shift_range) for pts, i in zip(clouds, rows)]
+            mask_rngs = [derive_rng(tc.seed, "mask", epoch, i) for i in rows]
+            loss, grads = tape_gradients(lambda part: forward_pretrain_batch(
+                model.params, model.config, clouds[part], mask_rngs[part]), len(rows), model.params)
+            lr = apply_step(model.params, grads, opt, sched, loss, epoch, "training", tc.grad_clip)
+            last_loss = loss
+            wall = 0 if tc.test_mode else int((time.monotonic() - t0) * 1000)
+            metrics.write(json.dumps({"step": opt.step - 1, "epoch": epoch, "loss": loss,
+                                      "lr": lr, "wall_ms": wall}) + "\n")
+            done, rest = divmod(opt.step, steps_per_epoch)  # epochs complete
+            if not rest and tc.checkpoint_every and done % tc.checkpoint_every == 0 and done < tc.epochs:
                 metrics.flush()  # every line before a checkpoint is on disk before it
-                _save(model, opt, epoch + 1, digest,
-                      os.path.join(tc.out_dir, f"checkpoint_epoch{epoch + 1:04d}.pm2a"))
+                _save(model, opt, done, digest,
+                      os.path.join(tc.out_dir, f"checkpoint_epoch{done:04d}.pm2a"))
         _save(model, opt, tc.epochs, digest, os.path.join(tc.out_dir, "checkpoint_final.pm2a"))
     return opt, last_loss
 

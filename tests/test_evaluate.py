@@ -5,6 +5,8 @@ import pytest
 
 from msmae import evaluate as E
 from msmae import model as M
+from msmae import tensor as T
+from msmae import training as TR
 from msmae.data import DataConfig, make_dataset
 from msmae.errors import ConfigError, ContractError, NumericError
 
@@ -219,19 +221,28 @@ class TestFinetune:
 
     @pytest.mark.parametrize("frozen", [False, True])
     def test_packed_gradients_match_single_clouds(self, frozen):
-        # 5 clouds at 2 per tape: two full tapes and a tape of one
+        # finetune's batch loss through training.tape_gradients: 5 clouds at
+        # 2 per tape make two full tapes and a tape of one
         assert E.FINETUNE_TAPE_CLOUDS == 2
         train, _ = self.records()
         recs = [r for r in train if r.label == 0][:3] + [r for r in train if r.label == 1][:2]
         labels = np.asarray([r.label for r in recs])
         model = M.Model.init(TINY, seed=3, dtype=np.float64)
         head = E.init_head(TINY.dims[-1], 2, seed=4, dtype=np.float64)
-        wrt = list(head.values()) if frozen else [*model.params.values(), *head.values()]
+        trainable = dict(head) if frozen else {**model.params, **head}
         feats = E.extract_features(model, recs) if frozen else None
 
         def gradients(rows):
-            kw = {"feats": feats[rows]} if frozen else {"clouds": [recs[i].points for i in rows]}
-            return E.batch_gradients(model, head, wrt, labels[rows], **kw)
+            if frozen:
+                features = lambda part: T.tensor(feats[rows][part])
+            else:
+                reprs, asg = M.hierarchy(TINY, [recs[i].points for i in rows])
+                features = lambda part: M.pool_tokens(M.encode_batch(
+                    model.params, TINY, reprs[part], asg[part])[-1], len(reprs[part]))
+            return TR.tape_gradients(
+                lambda part: T.softmax_cross_entropy(E.head_forward(head, features(part)),
+                                                     labels[rows][part]),
+                len(rows), trainable, E.FINETUNE_TAPE_CLOUDS)
 
         loss, packed = gradients(list(range(5)))
         singles = [gradients([i]) for i in range(5)]
@@ -240,7 +251,7 @@ class TestFinetune:
         want = [sum(g) / len(recs) for g in zip(*[g for _, g in singles])]
         # relative to the largest entry, as for pretraining's packed batches
         scale = max(np.abs(w).max() for w in want)
-        assert len(packed) == len(wrt)
+        assert len(packed) == len(trainable)
         for got, w in zip(packed, want):
             assert np.abs(got - w).max() <= 1e-9 * scale
 

@@ -1,5 +1,6 @@
 """Optimizer, schedule, and training-loop tests."""
 
+import functools
 import json
 import math
 
@@ -11,7 +12,9 @@ from msmae import tensor as T
 from msmae import training as TR
 from msmae.data import DataConfig, make_dataset
 from msmae.errors import ConfigError, ContractError, NumericError
+from msmae import evaluate as E
 from msmae.evaluate import EvalConfig
+from msmae.rng import derive_rng
 
 TINY = M.ModelConfig(num_points=64, counts=(16, 8, 4), dims=(8, 16, 32),
                      radii=(0.32, 0.64, 1.28), ks=(8, 4, 4),
@@ -160,6 +163,68 @@ class TestAugment:
         keep = pts.copy()
         TR.augment(pts, np.random.default_rng(4))
         assert np.array_equal(pts, keep)
+
+
+class TestSharedLoop:
+    def test_pretraining_batch_in_tape_groups_matches_one_tape(self):
+        # 5 clouds at 2 per tape, each cloud masked by its own stream
+        model = M.Model.init(TINY, seed=3, dtype=np.float64)
+        clouds = [r.points for r in tiny_records(5)]
+
+        def loss_of(rngs):
+            return lambda part: M.forward_pretrain_batch(model.params, TINY, clouds[part], rngs[part])
+
+        def rngs():
+            return [derive_rng(0, "mask", 0, i) for i in range(5)]
+
+        with T.Tape() as tape:
+            plain = loss_of(rngs())(slice(0, 5))
+        plain_grads = tape.gradients(plain, list(model.params.values()))
+        loss, want = TR.tape_gradients(loss_of(rngs()), 5, model.params)
+        # one tape is the plain tape: no weighing node, the same bits
+        assert loss == float(plain.data)
+        assert all(w.tobytes() == p.tobytes() for w, p in zip(want, plain_grads))
+        grouped, got = TR.tape_gradients(loss_of(rngs()), 5, model.params, group=2)
+        assert abs(grouped - loss) <= 1e-9 * loss
+        scale = max(np.abs(w).max() for w in want)
+        assert len(got) == len(model.params)
+        for name, g, w in zip(model.params, got, want):
+            assert np.abs(g - w).max() <= 1e-9 * scale, name
+
+    def test_batches_drop_the_partial_batch_and_resume_at_an_epoch(self):
+        walk = list(TR.batches(10, 4, 5, 0, 3))
+        assert [e for e, _ in walk] == [0, 0, 1, 1, 2, 2]
+        for epoch in range(3):
+            order = derive_rng(5, "shuffle", epoch).permutation(10)
+            assert np.array_equal(np.concatenate([r for e, r in walk if e == epoch]), order[:8])
+        resumed = list(TR.batches(10, 4, 5, 1, 3))
+        assert all(np.array_equal(a[1], b[1]) for a, b in zip(resumed, walk[2:]))
+
+    def test_step_clock_stamps_each_step_once(self, tmp_path, monkeypatch):
+        # the benchmark stamps its step clock by rebinding training.adamw_step
+        # and evaluate.adamw_step (perfbench/tracing.py)
+        stamps = []
+
+        def stamp(fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kw):
+                out = fn(*args, **kw)
+                stamps.append(1)
+                return out
+            return wrapper
+
+        monkeypatch.setattr(TR, "adamw_step", stamp(TR.adamw_step))
+        monkeypatch.setattr(E, "adamw_step", stamp(E.adamw_step))
+        records = tiny_records(8)
+        opt, _ = TR.train(M.Model.init(TINY, seed=0), records,
+                          TR.TrainConfig(epochs=2, batch_size=4, warmup_epochs=0, test_mode=True,
+                                         augment=False, out_dir=str(tmp_path)))
+        assert opt.step == 4 and len(stamps) == 4
+        stamps.clear()
+        train, val = records[:6], records[6:]
+        ec = EvalConfig(finetune_epochs=2, finetune_batch_size=3, finetune_warmup_epochs=0)
+        E.finetune(M.Model.init(TINY, seed=0), train, val, num_classes=2, ec=ec)
+        assert len(stamps) == 4
 
 
 class TestTrainLoop:
