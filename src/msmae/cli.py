@@ -60,25 +60,39 @@ def _run_config(args, rest):
         raise ConfigError(f"seed must be >= 0, got {rc.seed}")
     if getattr(args, "test_mode", False):
         rc.test_mode = True
+    if args.out:
+        _check_out(args.out)
     return rc
+
+
+def _check_out(path):
+    """Refuse, before any work, an output directory that cannot be made:
+    its nearest existing ancestor must be a writable directory."""
+    base = os.path.abspath(path)
+    while not os.path.exists(base):
+        base = os.path.dirname(base)
+    if not (os.path.isdir(base) and os.access(base, os.W_OK)):
+        raise ConfigError(f"cannot create output directory {path}: {base} is not a writable directory")
 
 
 def _eval_inputs(args, rest):
     """(run config, model, (train, val) records) of an evaluation command.
 
-    The model comes from --checkpoint, or fresh weights with --random-init;
-    the clouds take its point count.
+    The model comes from --checkpoint, or fresh weights with --random-init,
+    never both; the run config takes its [model] and the clouds its point
+    count, so config.ini and config_digest name the model that ran.
     """
     rc = _run_config(args, rest)
+    if args.random_init == bool(args.checkpoint):
+        raise ConfigError("pass either --checkpoint PATH or --random-init")
     if args.random_init:
         _log(f"random-init encoder, seed {rc.seed}")
         model = Model.init(rc.model, seed=rc.seed)
-    elif not args.checkpoint:
-        raise ConfigError("pass --checkpoint PATH or --random-init")
     else:
         config, params, _, _ = load_checkpoint(args.checkpoint)
         model = Model(config=config, params=params)
         _log(f"loaded checkpoint {args.checkpoint}")
+    rc.model = model.config
     rc.data.num_points = model.config.num_points
     return rc, model, make_dataset(rc.data)
 
@@ -161,17 +175,16 @@ def cmd_finetune(args, rest):
     _log(f"finetuning on {len(train_recs)} clouds, {num_classes} classes, "
          f"{'frozen' if e.freeze_encoder else 'end-to-end'}")
     res, head = finetune(model, train_recs, val_recs, num_classes, e, seed=rc.seed)
-    out_dir = _eval_out_dir(args)
-    os.makedirs(out_dir, exist_ok=True)
-    ckpt = os.path.join(out_dir, "checkpoint_finetuned.pm2a")
+    os.makedirs(args.out, exist_ok=True)
+    ckpt = os.path.join(args.out, "checkpoint_finetuned.pm2a")
     save_checkpoint(ckpt, model.config, model.params, aux=head)
-    with open(os.path.join(out_dir, "config.ini"), "w") as fh:
+    with open(os.path.join(args.out, "config.ini"), "w") as fh:
         fh.write(resolved_text(rc))
     blob = res.as_dict()
     blob["config_digest"] = config_digest(rc)
     blob["checkpoint"] = ckpt
     print(json.dumps(blob))
-    _summary_row(out_dir, "finetune", rc, res.accuracy,
+    _summary_row(args.out, "finetune", rc, res.accuracy,
                  "frozen" if e.freeze_encoder else "end-to-end")
     return 0
 
@@ -233,8 +246,8 @@ def _build_parser():
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.set_defaults(fn=cmd_pretrain)
 
-    def eval_common(p):
-        common(p)
+    def eval_common(p, out_required=False):
+        common(p, out_required)
         p.add_argument("--checkpoint", default=None)
         p.add_argument("--random-init", action="store_true", dest="random_init",
                        help="evaluate a freshly initialized encoder instead")
@@ -248,7 +261,7 @@ def _build_parser():
     p.set_defaults(fn=cmd_fewshot)
 
     p = sub.add_parser("finetune", help="train a classification head (optionally end-to-end)")
-    eval_common(p)
+    eval_common(p, out_required=True)
     p.set_defaults(fn=cmd_finetune)
 
     p = sub.add_parser("gen-data", help="write the run's synthetic clouds as a PCB dataset directory")

@@ -7,12 +7,14 @@ so the shuffle of epoch e, the augmentation of sample i in epoch e, and
 the mask of sample i in epoch e are all reconstructible from the config
 alone. Resuming from an epoch-boundary checkpoint therefore continues the
 interrupted run bit-for-bit, and the resumed run's metrics file matches
-the uninterrupted one line for line.
+the uninterrupted one line for line, even after a resume that was killed.
 
-Each optimizer step runs the whole batch as one forward and one backward
-pass on a single tape: the clouds' token rows are packed together (see
-model.forward_pretrain_batch), and the loss is the mean of the per-cloud
-losses, so its gradient is the batch-mean gradient directly.
+Pretraining and finetuning share one optimizer loop: batches walks the
+epochs' shuffled batches, tape_gradients gives a batch's mean loss and
+gradients, and apply_step checks the loss and steps AdamW. Pretraining
+runs the whole batch on a single tape, its clouds' token rows packed
+together (model.forward_pretrain_batch), so the mean of the per-cloud
+losses gives the batch-mean gradient directly.
 """
 
 from __future__ import annotations
@@ -218,25 +220,25 @@ class TrainConfig:
         return self
 
 
-def _kept_metrics(path, step):
-    """Lines of an existing metrics file for steps before `step`.
+def _kept_bytes(path, step):
+    """Byte length of the leading lines of a metrics file for steps before `step`.
 
     Stops at the first line that is unterminated or does not parse, such
     as one cut short by a crash; every later line belongs to steps the
     resumed run redoes.
     """
-    kept = []
+    kept = 0
     if os.path.exists(path):
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             for line in fh:
-                if not line.endswith("\n"):
+                if not line.endswith(b"\n"):
                     break
                 try:
                     if json.loads(line)["step"] >= step:
                         break
                 except (ValueError, KeyError, TypeError):
                     break
-                kept.append(line)
+                kept += len(line)
     return kept
 
 
@@ -295,10 +297,10 @@ def train(model, records, tc, resume=None, snapshot=None):
         with open(os.path.join(tc.out_dir, "config.ini"), "w") as fh:
             fh.write(snapshot)
     metrics_path = os.path.join(tc.out_dir, "metrics.jsonl")
-    kept = _kept_metrics(metrics_path, opt.step) if resume is not None else []
+    kept = _kept_bytes(metrics_path, opt.step) if resume is not None else 0
     last_loss = math.nan
-    with open(metrics_path, "w") as metrics:
-        metrics.writelines(kept)
+    with open(metrics_path, "a") as metrics:
+        metrics.truncate(kept)  # kept lines stay on disk, however this run ends
         for epoch, rows in batches(len(records), tc.batch_size, tc.seed, start_epoch, tc.epochs):
             t0 = time.monotonic()
             rows = rows.tolist()

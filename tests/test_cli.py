@@ -242,6 +242,75 @@ class TestFinetune:
         assert last.startswith("error: non-finite finetune loss at step")
 
 
+FINETUNE_TINY = [*TINY_DATA, "--eval.finetune_epochs", "1", "--eval.finetune_batch_size", "4",
+                 "--eval.finetune_warmup_epochs", "0"]
+
+
+class TestEvalRuns:
+    """What probe, fewshot and finetune state and keep about the model that ran."""
+
+    def test_finetune_states_the_checkpoints_model_and_keeps_its_run(self, trained, tmp_path,
+                                                                      capsys):
+        run = tmp_path / "heads8"
+        assert run_pretrain(run, extra=["--model.heads", "8"]) == 0
+        snapshot = (run / "config.ini").read_bytes()
+        ckpt = str(run / "checkpoint_final.pm2a")
+        with pytest.raises(SystemExit) as exc:  # --out is required
+            main(["finetune", "--checkpoint", ckpt, *FINETUNE_TINY])
+        assert exc.value.code == 2
+        assert (run / "config.ini").read_bytes() == snapshot
+        capsys.readouterr()
+        digests = []
+        for name, checkpoint in (("ft8", ckpt), ("ft4", str(trained))):
+            assert main(["finetune", "--checkpoint", checkpoint, "--out", str(tmp_path / name),
+                         *FINETUNE_TINY]) == 0
+            digests.append(json.loads(capsys.readouterr().out)["config_digest"])
+        assert digests[0] != digests[1]
+        assert load_run_config(tmp_path / "ft8" / "config.ini").model.heads == 8
+        assert (run / "config.ini").read_bytes() == snapshot
+
+    @pytest.mark.parametrize("command", ["probe", "fewshot"])
+    def test_digest_names_the_checkpoints_model(self, tmp_path, capsys, command):
+        assert run_pretrain(tmp_path / "run", extra=["--model.heads", "8"]) == 0
+        capsys.readouterr()
+        base = [command, "--checkpoint", str(tmp_path / "run" / "checkpoint_final.pm2a"),
+                "--out", str(tmp_path / "eval"), "--eval.probe_iters", "5", "--eval.way", "2",
+                "--eval.shot", "1", "--eval.runs", "1", "--eval.queries", "1", *TINY_DATA]
+        digests = []
+        for extra in ([], ["--model.heads", "8"]):
+            assert main([*base, *extra]) == 0
+            digests.append(json.loads(capsys.readouterr().out)["config_digest"])
+        assert digests[0] == digests[1]
+        rows = (tmp_path / "eval" / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == digests
+
+    @pytest.mark.parametrize("command", ["probe", "fewshot", "finetune"])
+    def test_checkpoint_with_random_init_rejected(self, tmp_path, capsys, command):
+        code = main([command, "--random-init", "--checkpoint", str(tmp_path / "none" / "x.pm2a"),
+                     "--out", str(tmp_path / "out"), *TINY_DATA])
+        assert_one_error_line(code, capsys)
+        assert not (tmp_path / "out").exists()
+
+
+class TestUnusableOut:
+    @pytest.mark.parametrize("command", ["pretrain", "probe", "fewshot", "finetune", "gen-data",
+                                         "inspect-mask"])
+    def test_out_under_a_file_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                       command):
+        def no_work(*args, **kw):
+            raise AssertionError("work started")
+
+        for name in ("train", "finetune", "extract_features", "make_dataset", "make_records"):
+            monkeypatch.setattr(cli, name, no_work)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = {"pretrain": [*TINY_TRAIN], "gen-data": [],
+                "inspect-mask": ["--input", str(tmp_path / "cloud.xyz")]}.get(command, ["--random-init"])
+        code = main([command, "--out", str(blocker / "out"), *argv, *TINY_DATA])
+        assert_one_error_line(code, capsys)
+        assert blocker.read_text() == ""
+
+
 class TestGenData:
     def test_count_arithmetic(self, tmp_path, capsys):
         code = main(["gen-data", "--out", str(tmp_path / "ds"), "--data.per_class", "8",

@@ -3,6 +3,9 @@
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -348,6 +351,38 @@ class TestTrainLoop:
         text = (out / "metrics.jsonl").read_text()
         assert len(text.splitlines()) == 6
         assert text == texts[0]
+
+    @pytest.mark.parametrize("kill_at", [1, 2, 3])
+    def test_killed_resume_keeps_metrics_history(self, tmp_path, kill_at):
+        # a resumed run killed at its k-th step (os._exit: nothing flushes)
+        # must leave the lines before its first step on disk
+        records = tiny_records(12)  # 3 steps an epoch, 2 epochs
+        tc = self.make_tc(tmp_path, epochs=2, checkpoint_every=1)
+        TR.train(M.Model.init(TINY, seed=0), records, tc)
+        whole = (tmp_path / "metrics.jsonl").read_bytes()
+        ckpt = tmp_path / "checkpoint_epoch0001.pm2a"
+        here = os.path.dirname(os.path.abspath(__file__))
+        script = f"""
+import os, sys
+sys.path[:0] = [{os.path.join(os.path.dirname(here), "src")!r}, {here!r}]
+from msmae import model as M, training as TR
+from test_training import TINY, TestTrainLoop, tiny_records
+calls, step = [], TR.adamw_step
+def dying(*args):
+    calls.append(1)
+    if len(calls) == {kill_at}:
+        os._exit(9)
+    step(*args)
+TR.adamw_step = dying
+tc = TestTrainLoop().make_tc({str(tmp_path)!r}, epochs=2, checkpoint_every=1)
+TR.train(M.Model.init(TINY, seed=0), tiny_records(12), tc, resume={str(ckpt)!r})
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 9, proc.stderr
+        assert whole.startswith((tmp_path / "metrics.jsonl").read_bytes())
+        TR.train(M.Model.init(TINY, seed=1), records, tc, resume=ckpt)
+        assert (tmp_path / "metrics.jsonl").read_bytes() == whole
 
     def test_resume_drops_metrics_from_a_cut_line_on(self, tmp_path):
         records = tiny_records(8)
