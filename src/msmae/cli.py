@@ -60,19 +60,14 @@ def _run_config(args, rest):
         raise ConfigError(f"seed must be >= 0, got {rc.seed}")
     if getattr(args, "test_mode", False):
         rc.test_mode = True
-    if args.out:
-        _check_out(args.out)
+    if args.out:  # before any work: --out's nearest existing ancestor must be a writable directory
+        base = os.path.abspath(args.out)
+        while not os.path.exists(base):
+            base = os.path.dirname(base)
+        if not (os.path.isdir(base) and os.access(base, os.W_OK)):
+            raise ConfigError(f"cannot create output directory {args.out}: "
+                              f"{base} is not a writable directory")
     return rc
-
-
-def _check_out(path):
-    """Refuse, before any work, an output directory that cannot be made:
-    its nearest existing ancestor must be a writable directory."""
-    base = os.path.abspath(path)
-    while not os.path.exists(base):
-        base = os.path.dirname(base)
-    if not (os.path.isdir(base) and os.access(base, os.W_OK)):
-        raise ConfigError(f"cannot create output directory {path}: {base} is not a writable directory")
 
 
 def _eval_inputs(args, rest):

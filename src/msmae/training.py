@@ -155,7 +155,7 @@ def tape_gradients(loss_of, m, params, group=None):
     return loss_sum, total
 
 
-def apply_step(params, grads, opt, sched, loss, epoch, what="training", grad_clip=0.0):
+def apply_step(params, grads, opt, sched, loss, epoch, what, grad_clip=0.0):
     """AdamW step on params from a batch's loss and gradients (in params
     order), clipped to global norm grad_clip when > 0; returns the rate.
     A non-finite loss raises NumericError first, naming `what` and where."""

@@ -246,19 +246,24 @@ FINETUNE_TINY = [*TINY_DATA, "--eval.finetune_epochs", "1", "--eval.finetune_bat
                  "--eval.finetune_warmup_epochs", "0"]
 
 
+@pytest.fixture(scope="module")
+def heads8(tmp_path_factory):
+    out = tmp_path_factory.mktemp("heads8")
+    assert run_pretrain(out, extra=["--model.heads", "8"]) == 0
+    return out
+
+
 class TestEvalRuns:
     """What probe, fewshot and finetune state and keep about the model that ran."""
 
-    def test_finetune_states_the_checkpoints_model_and_keeps_its_run(self, trained, tmp_path,
-                                                                      capsys):
-        run = tmp_path / "heads8"
-        assert run_pretrain(run, extra=["--model.heads", "8"]) == 0
-        snapshot = (run / "config.ini").read_bytes()
-        ckpt = str(run / "checkpoint_final.pm2a")
+    def test_finetune_states_the_checkpoints_model_and_keeps_its_run(self, trained, heads8,
+                                                                      tmp_path, capsys):
+        snapshot = (heads8 / "config.ini").read_bytes()
+        ckpt = str(heads8 / "checkpoint_final.pm2a")
         with pytest.raises(SystemExit) as exc:  # --out is required
             main(["finetune", "--checkpoint", ckpt, *FINETUNE_TINY])
         assert exc.value.code == 2
-        assert (run / "config.ini").read_bytes() == snapshot
+        assert (heads8 / "config.ini").read_bytes() == snapshot
         capsys.readouterr()
         digests = []
         for name, checkpoint in (("ft8", ckpt), ("ft4", str(trained))):
@@ -267,13 +272,11 @@ class TestEvalRuns:
             digests.append(json.loads(capsys.readouterr().out)["config_digest"])
         assert digests[0] != digests[1]
         assert load_run_config(tmp_path / "ft8" / "config.ini").model.heads == 8
-        assert (run / "config.ini").read_bytes() == snapshot
+        assert (heads8 / "config.ini").read_bytes() == snapshot
 
     @pytest.mark.parametrize("command", ["probe", "fewshot"])
-    def test_digest_names_the_checkpoints_model(self, tmp_path, capsys, command):
-        assert run_pretrain(tmp_path / "run", extra=["--model.heads", "8"]) == 0
-        capsys.readouterr()
-        base = [command, "--checkpoint", str(tmp_path / "run" / "checkpoint_final.pm2a"),
+    def test_digest_names_the_checkpoints_model(self, heads8, tmp_path, capsys, command):
+        base = [command, "--checkpoint", str(heads8 / "checkpoint_final.pm2a"),
                 "--out", str(tmp_path / "eval"), "--eval.probe_iters", "5", "--eval.way", "2",
                 "--eval.shot", "1", "--eval.runs", "1", "--eval.queries", "1", *TINY_DATA]
         digests = []

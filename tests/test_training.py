@@ -10,12 +10,12 @@ import sys
 import numpy as np
 import pytest
 
+from msmae import evaluate as E
 from msmae import model as M
 from msmae import tensor as T
 from msmae import training as TR
 from msmae.data import DataConfig, make_dataset
 from msmae.errors import ConfigError, ContractError, NumericError
-from msmae import evaluate as E
 from msmae.evaluate import EvalConfig
 from msmae.rng import derive_rng
 
