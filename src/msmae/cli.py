@@ -203,7 +203,7 @@ def cmd_inspect_mask(args, rest):
     else:
         pts = load_xyz(args.input)
     repr = build_scales(pts, list(cfg.counts), list(cfg.ks))
-    assignment = draw_mask(cfg, repr, derive_rng(rc.seed, "mask", 0))
+    assignment = draw_mask(cfg, repr[None], [derive_rng(rc.seed, "mask", 0)])[0]
     os.makedirs(args.out, exist_ok=True)
     for i in range(repr.num_scales):
         vis = assignment.visible[i]

@@ -136,8 +136,8 @@ def extract_features(model, records):
     feats = []
     for start in range(0, len(records), HIERARCHY_CHUNK):
         part = records[start:start + HIERARCHY_CHUNK]
-        reprs, _ = hierarchy(model.config, [r.points for r in part])
-        feats += [model.global_feature(r.points, s).data for r, s in zip(part, reprs)]
+        repr, _ = hierarchy(model.config, [r.points for r in part])
+        feats += [model.global_feature(r.points, repr[b]).data for b, r in enumerate(part)]
     return np.stack(feats)
 
 
@@ -241,9 +241,9 @@ def finetune(model, train_records, val_records, num_classes, ec, seed=0):
         if frozen:
             features = lambda part: T.tensor(cached[rows][part])
         else:
-            reprs, assignments = hierarchy(model.config, [records[i].points for i in rows.tolist()])
+            repr, assignment = hierarchy(model.config, [records[i].points for i in rows.tolist()])
             features = lambda part: pool_tokens(encode_batch(
-                model.params, model.config, reprs[part], assignments[part])[-1], len(reprs[part]))
+                model.params, model.config, repr[part], assignment[part])[-1], len(rows[part]))
         loss, grads = tape_gradients(
             lambda part: T.softmax_cross_entropy(head_forward(head, features(part)), labels[rows][part]),
             len(rows), trainable, FINETUNE_TAPE_CLOUDS)

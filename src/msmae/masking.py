@@ -10,6 +10,11 @@ geometry hidden at finer scales.
 
 Scale lists are 0-indexed in code: scales[0] is the finest scale (scale 1
 in the hierarchy), scales[-1] the coarsest.
+
+A batch of clouds is one stack, not a list of per-cloud objects: every
+array of its MultiScaleRepr and MaskAssignment keeps a leading cloud axis,
+as geometry.fps and knn do. build_scales, back_project and independent_masks
+take one cloud or a stack, and on a stack equal one-cloud calls, cloud by cloud.
 """
 
 from __future__ import annotations
@@ -27,41 +32,49 @@ class MultiScaleRepr:
     """Seed coordinates and neighbor tables for every scale.
 
     seeds[i] is (N_i, 3); neighbor_index[i] is (N_i, k_i) indexing into
-    scale i-1 points (the raw input for i = 0). parent_points[i] holds
-    those scale i-1 coordinates for convenience.
+    scale i-1 points: input_points for i = 0, seeds[i-1] above. Indexing
+    picks clouds, here and in MaskAssignment: an int gives one cloud of a
+    stack, a slice or an index array a sub-batch, and None wraps one cloud
+    as a batch of one.
     """
 
     input_points: np.ndarray
     seeds: list
     neighbor_index: list
-    parent_points: list
 
     @property
     def num_scales(self):
         return len(self.seeds)
 
+    def __getitem__(self, key):
+        return MultiScaleRepr(self.input_points[key], [s[key] for s in self.seeds],
+                              [t[key] for t in self.neighbor_index])
+
 
 @dataclass
 class MaskAssignment:
-    """Per-scale visibility flags; visible[i] is boolean of length N_i."""
+    """Per-scale visibility flags; visible[i] is boolean (N_i,), or (B, N_i) for a stack."""
 
     visible: list
 
     def num_visible(self, i):
         return int(self.visible[i].sum())
 
+    def __getitem__(self, key):
+        return MaskAssignment([v[key] for v in self.visible])
+
 
 def build_scales(points, counts, ks):
     """Downsample-and-group chain producing the S-scale representation.
 
-    points is one cloud (N, 3), which gives one MultiScaleRepr, or a stack
-    of clouds with a shared point count (B, N, 3), which gives a list of B,
-    each equal to a one-cloud call: every scale sorts the stacked clouds
+    points is one cloud (N, 3), which gives its MultiScaleRepr, or a stack
+    of clouds with a shared point count (B, N, 3), which gives the stack's,
+    whose [b] equals a one-cloud call: every scale sorts the stacked clouds
     once (lex_order) and runs one fps and one knn over all of them.
     """
     pts = as_points(points, "points")
     stack = pts.reshape(-1, *pts.shape[-2:])
-    seeds, tables, parents = [], [], []
+    seeds, tables = [], []
     src = stack
     for n_i, k_i in zip(counts, ks):
         order = lex_order(src)
@@ -69,13 +82,9 @@ def build_scales(points, counts, ks):
         ctr = np.take_along_axis(src, sel[:, :, None], axis=1)
         tables.append(knn(ctr, src, k_i, order=order))
         seeds.append(ctr)
-        parents.append(src)
         src = ctr
-    reprs = [MultiScaleRepr(input_points=stack[b], seeds=[s[b] for s in seeds],
-                            neighbor_index=[t[b] for t in tables],
-                            parent_points=[p[b] for p in parents])
-             for b in range(stack.shape[0])]
-    return reprs if pts.ndim == 3 else reprs[0]
+    repr = MultiScaleRepr(stack, seeds, tables)
+    return repr if pts.ndim == 3 else repr[0]
 
 
 def sample_visible(n, mask_ratio, rng):
@@ -106,22 +115,25 @@ def back_project(repr, coarse_visible):
     result satisfies, by construction:
       closure    - every visible seed keeps its whole neighborhood visible;
       minimality - nothing else is visible.
+    repr is one cloud with coarse_visible (N_S,), or a stack of B clouds
+    with coarse_visible (B, N_S), one row per cloud.
     """
     vis_s = np.asarray(coarse_visible, dtype=bool)
-    n_s = repr.seeds[-1].shape[0]
-    if vis_s.shape != (n_s,):
-        raise ContractError(f"coarse visibility has shape {vis_s.shape}, expected ({n_s},)")
-    if not vis_s.any():
+    want = repr.seeds[-1].shape[:-1]
+    if vis_s.shape != want:
+        raise ContractError(f"coarse visibility has shape {vis_s.shape}, expected {want}")
+    if not vis_s.any(axis=-1).all():
         raise ContractError("no visible seed at the coarsest scale")
+    one = vis_s.ndim == 1
+    stack, vis_s = (repr[None], vis_s[None]) if one else (repr, vis_s)
     visible = [None] * repr.num_scales
     visible[-1] = vis_s.copy()
     for i in range(repr.num_scales - 2, -1, -1):
-        table_above = repr.neighbor_index[i + 1]  # rows index scale-i points
-        vis = np.zeros(repr.seeds[i].shape[0], dtype=bool)
-        used = np.unique(table_above[visible[i + 1]])
-        vis[used] = True
+        b, seed = np.nonzero(visible[i + 1])
+        vis = np.zeros(stack.seeds[i].shape[:-1], dtype=bool)
+        vis[b[:, None], stack.neighbor_index[i + 1][b, seed]] = True  # rows index scale-i points
         visible[i] = vis
-    return MaskAssignment(visible=visible)
+    return MaskAssignment(visible)[0] if one else MaskAssignment(visible)
 
 
 def independent_masks(repr, mask_ratio, rng):
@@ -133,17 +145,20 @@ def independent_masks(repr, mask_ratio, rng):
     so every visible seed has something to pool (model.merge_tokens). A
     scale left with no visible seed keeps seed 0 visible, and with it the
     chain of first neighbors below (a seed's own point one scale down), so
-    no scale is ever empty.
+    no scale is ever empty. For a stack, rng is a list of one generator per
+    cloud, each drawing only its own cloud's scales, finest first.
     """
-    visible = [sample_visible(s.shape[0], mask_ratio, rng) for s in repr.seeds]
+    one = repr.seeds[0].ndim == 2
+    stack, rngs = (repr[None], [rng]) if one else (repr, rng)
+    visible = [np.stack([sample_visible(s.shape[1], mask_ratio, r) for r in rngs]) for s in stack.seeds]
     for i in range(1, len(visible)):
-        visible[i] &= visible[i - 1][repr.neighbor_index[i]].any(axis=1)
-        if not visible[i].any():
+        visible[i] &= np.take_along_axis(visible[i - 1][:, None], stack.neighbor_index[i], 2).any(axis=2)
+        for b in np.flatnonzero(~visible[i].any(axis=1)):
             seed = 0
             for j in range(i, -1, -1):
-                visible[j][seed] = True
-                seed = repr.neighbor_index[j][seed, 0]
-    return MaskAssignment(visible=visible)
+                visible[j][b, seed] = True
+                seed = stack.neighbor_index[j][b, seed, 0]
+    return MaskAssignment(visible)[0] if one else MaskAssignment(visible)
 
 
 def verify_consistency(repr, assignment):
@@ -157,15 +172,14 @@ def verify_consistency(repr, assignment):
         vis_here = assignment.visible[i]
         vis_above = assignment.visible[i + 1]
         table = repr.neighbor_index[i + 1]
-        required = np.unique(table[vis_above]) if vis_above.any() else np.empty(0, dtype=np.int64)
-        hidden_required = required[~vis_here[required]] if required.size else required
+        required = np.unique(table[vis_above])
+        hidden_required = required[~vis_here[required]]
         if hidden_required.size:
             problems.append(
                 f"closure violated at scale {i + 1}: {hidden_required.size} neighbor(s) of "
                 f"visible scale-{i + 2} seeds are masked (first: point {int(hidden_required[0])})"
             )
-        extra = np.flatnonzero(vis_here)
-        extra = extra[~np.isin(extra, required)]
+        extra = np.setdiff1d(np.flatnonzero(vis_here), required)
         if extra.size:
             problems.append(
                 f"minimality violated at scale {i + 1}: {extra.size} visible point(s) serve no "

@@ -17,13 +17,15 @@ offsets under a symmetric squared-l2 Chamfer loss.
 
 Batches: hierarchy builds the scales of a whole batch of clouds at once
 in numpy, one stacked farthest point sampling and one stacked kNN per
-scale over all clouds, then draws each cloud's mask with its own rng; the
-*_batch functions then run B clouds at once with their token rows packed
-cloud after cloud, so every linear layer, norm and MLP runs once over all
-rows. Attention stays within a cloud through a padded (B, n, n) layout
-(Padding), whose radius masks come from one stacked radius_mask. encode,
-decode and reconstruct are the B=1 case of the same code; a one-cloud
-pretraining loss is forward_pretrain_batch with one-element lists.
+scale over all clouds, then draws each cloud's mask with its own rng, into
+one stacked MultiScaleRepr and MaskAssignment (see masking). The *_batch
+functions run those B clouds at once, their token rows packed as the
+np.nonzero of each scale's (B, N_i) visibility: cloud after cloud, by
+ascending seed position. So every linear layer, norm and MLP runs once
+over all rows. Attention stays within a cloud through a padded (B, n, n)
+layout (Padding), whose radius masks come from one stacked radius_mask.
+encode, decode and reconstruct are the B=1 case of the same code (repr[None]);
+a one-cloud pretraining loss is forward_pretrain_batch with one-element lists.
 
 All functions are pure in (params, config, inputs); parameters live in a
 flat name->Tensor dict with a creation order fixed by param_shapes.
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError, InvariantError
-from .geometry import chamfer_sets, interpolate, radius_mask
+from .geometry import as_points, chamfer_sets, interpolate, radius_mask
 from .masking import MaskAssignment, back_project, build_scales, independent_masks, sample_visible
 
 FFN_RATIO = 4  # hidden width of every feed-forward layer, in multiples of C
@@ -300,46 +302,42 @@ def encoder_block(params, prefix, feats, pos, allow, heads, pad, return_attn=Fal
     return h
 
 
-def _encoder_allow(coords, radius, pad, local):
+def _encoder_allow(seeds, visible, radius, pad, local):
     """(B, n, n) attention adjacency of padded token sets, or None for dense.
 
-    Real slots follow the radius mask (or see their whole set without
-    local attention); a padding slot sees only itself, so no row is empty
-    and no real token attends to padding.
+    Real slots hold a stack's visible seeds and follow the radius mask (or
+    see their whole set without local attention); a padding slot sees only
+    itself, so no row is empty and no real token attends to padding.
     """
     if not local and pad.real is None:
         return None
-    real = np.arange(pad.width) < np.asarray([c.shape[0] for c in coords])[:, None]
+    real = np.arange(pad.width) < visible.sum(axis=1)[:, None]
     allow = real[:, :, None] & real[:, None, :]
     if local:
         slots = np.zeros((pad.count, pad.width, 3))
-        slots[real] = np.concatenate(coords)
+        slots[real] = seeds[visible]
         allow &= radius_mask(slots, radius)
     allow |= np.eye(pad.width, dtype=bool)
     return allow
 
 
-def embed_tokens(params, config, reprs, assignments):
+def embed_tokens(params, config, repr, assignment):
     """Finest-scale visible neighborhoods -> C_1 tokens (mini point network).
 
     Neighbor coordinates are re-centered on their seed, so the embedding is
     translation invariant; max-pool over the k_1 neighbors makes it
     neighbor-order invariant. Rows of all clouds are packed in cloud order.
     """
-    dtype = params["embed.mlp1.w0"].dtype
-    rel = []
-    for repr, assignment in zip(reprs, assignments):
-        idx = np.flatnonzero(assignment.visible[0])
-        groups = repr.input_points[repr.neighbor_index[0][idx]]  # (n, k, 3)
-        rel.append(groups - repr.seeds[0][idx][:, None, :])
-    rel = np.concatenate(rel).astype(dtype)
+    b, idx = np.nonzero(assignment.visible[0])
+    groups = repr.input_points[b[:, None], repr.neighbor_index[0][b, idx]]  # (n, k, 3)
+    rel = (groups - repr.seeds[0][b, idx][:, None, :]).astype(params["embed.mlp1.w0"].dtype)
     n, k, _ = rel.shape
     per_point = _mlp2(params, "embed.mlp1", T.tensor(rel.reshape(n * k, 3)))
     pooled = T.segment_max(per_point, n)
     return _mlp2(params, "embed.mlp2", pooled)
 
 
-def merge_tokens(params, config, reprs, assignments, scale, feats):
+def merge_tokens(params, config, repr, assignment, scale, feats):
     """Pool scale-(scale-1) visible tokens into scale-`scale` visible tokens.
 
     scale is 1-based with scale >= 2; feats packs every cloud's
@@ -350,24 +348,20 @@ def merge_tokens(params, config, reprs, assignments, scale, feats):
     first visible one, so the max-pool runs over the visible neighbors.
     """
     i = scale - 1  # 0-based target scale index
-    rows, rel = [], []
-    start = 0
-    for repr, assignment in zip(reprs, assignments):
-        vis_below = assignment.visible[i - 1]
-        below_pos = start + np.cumsum(vis_below) - 1  # feats row of each visible token
-        start += int(vis_below.sum())
-        idx = np.flatnonzero(assignment.visible[i])
-        neigh = repr.neighbor_index[i][idx]  # (n, k) indices into scale i-1
-        seen = vis_below[neigh]
-        if not seen.any(axis=1).all():
-            raise InvariantError(f"merge at scale {scale}: a visible seed has no visible neighbor token")
-        neigh = np.where(seen, neigh, neigh[np.arange(idx.size), seen.argmax(axis=1)][:, None])
-        rows.append(below_pos[neigh])
-        rel.append(repr.parent_points[i][neigh] - repr.seeds[i][idx][:, None, :])
-    rows = np.concatenate(rows)
+    vis_below = assignment.visible[i - 1]
+    below_pos = np.cumsum(vis_below).reshape(vis_below.shape) - 1  # feats row of each visible token
+    b, idx = np.nonzero(assignment.visible[i])
+    neigh = repr.neighbor_index[i][b, idx]  # (n, k) indices into scale i-1
+    cloud = b[:, None]
+    seen = vis_below[cloud, neigh]
+    if not seen.any(axis=1).all():
+        raise InvariantError(f"merge at scale {scale}: a visible seed has no visible neighbor token")
+    neigh = np.where(seen, neigh, neigh[np.arange(idx.size), seen.argmax(axis=1)][:, None])
+    rows = below_pos[cloud, neigh]
+    rel = repr.seeds[i - 1][cloud, neigh] - repr.seeds[i][b, idx][:, None, :]
     n, k = rows.shape
     gathered = T.gather(feats, rows)  # (n, k, C)
-    joined = T.concat([gathered, T.tensor(np.concatenate(rel).astype(feats.dtype))], axis=-1)
+    joined = T.concat([gathered, T.tensor(rel.astype(feats.dtype))], axis=-1)
     flat = T.reshape(joined, (n * k, joined.shape[-1]))
     h = _mlp2(params, f"merge{scale}", flat)
     return T.segment_max(h, n)
@@ -376,59 +370,56 @@ def merge_tokens(params, config, reprs, assignments, scale, feats):
 def hierarchy(config, clouds, rngs=None):
     """Scales and visibility masks of a batch of clouds, plain numpy.
 
-    clouds is a non-empty list of (N, 3) clouds that share N; their scales
+    clouds is a (B, N, 3) stack or a list of B (N, 3) clouds; their scales
     come from one stacked build_scales. rngs holds one generator per cloud,
     each drawing only its own cloud's mask (draw_mask); without rngs every
-    seed is visible. Returns (reprs, assignments), one of each per cloud,
-    equal to what one-cloud calls would give.
+    seed is visible. Returns the batch's (MultiScaleRepr, MaskAssignment),
+    whose [b] is what a one-cloud call gives for cloud b.
     """
-    pts = [np.asarray(p, dtype=np.float64) for p in clouds]
-    for p in pts:
-        if p.ndim != 2 or p.shape[1] != 3:
-            raise ContractError(f"points must be (N, 3), got {p.shape}")
-        if p.shape[0] < config.num_points:
-            raise ContractError(f"expected >= {config.num_points} points, got {p.shape[0]}")
-    reprs = build_scales(pts, list(config.counts), list(config.ks))  # ContractError if ragged
-    rngs = [None] * len(reprs) if rngs is None else list(rngs)
-    if len(rngs) != len(reprs):
-        raise ContractError(f"{len(rngs)} rngs for {len(reprs)} clouds")
-    return reprs, [draw_mask(config, r, rng) for r, rng in zip(reprs, rngs)]
+    pts = as_points(clouds, "clouds")  # ContractError if ragged, empty or not finite
+    if pts.ndim != 3 or pts.shape[1] < config.num_points:
+        raise ContractError(f"clouds must be (B, >= {config.num_points}, 3), got {pts.shape}")
+    repr = build_scales(pts, list(config.counts), list(config.ks))
+    return repr, draw_mask(config, repr, rngs)
 
 
-def draw_mask(config, repr, rng):
-    """One cloud's visibility on its scales at config.mask_ratio: drawn at
-    the coarsest scale and back-projected, or per scale under the
-    independent-mask ablation. rng None leaves every seed visible."""
-    if rng is None:
-        return MaskAssignment(visible=[np.ones(s.shape[0], dtype=bool) for s in repr.seeds])
+def draw_mask(config, repr, rngs):
+    """Visibility of a stack of clouds on their scales at config.mask_ratio,
+    cloud b's drawn from rngs[b] alone: at the coarsest scale and
+    back-projected, or per scale under the independent-mask ablation.
+    rngs None leaves every seed visible."""
+    if rngs is None:
+        return MaskAssignment([np.ones(s.shape[:-1], dtype=bool) for s in repr.seeds])
+    if len(rngs) != len(repr.input_points):
+        raise ContractError(f"{len(rngs)} rngs for {len(repr.input_points)} clouds")
     if config.multi_scale_mask:
-        return back_project(repr, sample_visible(config.counts[-1], config.mask_ratio, rng))
-    return independent_masks(repr, config.mask_ratio, rng)
+        return back_project(repr, [sample_visible(config.counts[-1], config.mask_ratio, r) for r in rngs])
+    return independent_masks(repr, config.mask_ratio, rngs)
 
 
-def encode_batch(params, config, reprs, assignments):
-    """Encoder pass over B clouds at once.
+def encode_batch(params, config, repr, assignment):
+    """Encoder pass over the B clouds of a stacked repr and assignment.
 
     Returns tokens: tokens[i] packs the visible scale-(i+1) tokens of every
     cloud, cloud after cloud, each cloud's rows by ascending seed position.
     Attention stays within a cloud.
     """
-    feats = embed_tokens(params, config, reprs, assignments)
+    feats = embed_tokens(params, config, repr, assignment)
     dtype = feats.dtype
     plan = config.encoder_block_plan()
     tokens = []
     for i in range(config.num_scales):
         if plan[i]:
-            coords = [r.seeds[i][a.visible[i]] for r, a in zip(reprs, assignments)]
-            pad = Padding.of([c.shape[0] for c in coords])
-            allow = _encoder_allow(coords, config.radii[i], pad, config.local_attention)
-            pos = _pos_encoding(params, f"enc{i + 1}.pos", np.concatenate(coords), dtype)
+            vis = assignment.visible[i]
+            pad = Padding.of(vis.sum(axis=1))
+            allow = _encoder_allow(repr.seeds[i], vis, config.radii[i], pad, config.local_attention)
+            pos = _pos_encoding(params, f"enc{i + 1}.pos", repr.seeds[i][vis], dtype)
             for b in range(plan[i]):
                 feats = encoder_block(params, f"enc{i + 1}.blk{b + 1}", feats, pos, allow,
                                       config.heads, pad)
         tokens.append(feats)
         if i < config.num_scales - 1:
-            feats = merge_tokens(params, config, reprs, assignments, i + 2, feats)
+            feats = merge_tokens(params, config, repr, assignment, i + 2, feats)
     return tokens
 
 
@@ -437,14 +428,12 @@ def encode(params, config, points, rng=None, scales=None):
 
     Returns (tokens, repr, assignment): tokens[i] is the visible token set
     of scale i+1, rows ordered by ascending seed position. scales, when
-    given, is the cloud's prebuilt MultiScaleRepr (from a batched
+    given, is the cloud's prebuilt MultiScaleRepr (one cloud of a stacked
     hierarchy call), used in place of building it again.
     """
-    if scales is None:
-        (scales,), (assignment,) = hierarchy(config, [points], [rng])
-    else:
-        assignment = draw_mask(config, scales, rng)
-    return encode_batch(params, config, [scales], [assignment]), scales, assignment
+    repr = hierarchy(config, [points])[0] if scales is None else scales[None]
+    assignment = draw_mask(config, repr, None if rng is None else [rng])
+    return encode_batch(params, config, repr, assignment), repr[0], assignment[0]
 
 
 def _interleave(vis_rows, hidden_rows, visible):
@@ -462,7 +451,7 @@ def _interleave(vis_rows, hidden_rows, visible):
     return T.gather(T.concat([vis_rows, hidden_rows], axis=0), pos)
 
 
-def decode_batch(params, config, tokens, reprs, assignments):
+def decode_batch(params, config, tokens, repr, assignment):
     """Decoder pass over B clouds; returns their full second-scale token
     sets packed as (B*N_2, C_2).
 
@@ -473,29 +462,26 @@ def decode_batch(params, config, tokens, reprs, assignments):
     same size in every cloud, so attention needs no padding.
     """
     S = config.num_scales
-    B = len(reprs)
     dtype = tokens[-1].dtype
-    vis = np.concatenate([a.visible[-1] for a in assignments])
+    vis = assignment.visible[-1].ravel()
     mtok = T.add(T.tensor(np.zeros((int((~vis).sum()), config.dims[-1]), dtype=dtype)),
                  params["mask_token"])
     feats = _interleave(tokens[-1], mtok, vis)
     plan = config.decoder_block_plan()
     for j in range(1, S):
         scale_idx = S - j
+        seeds = repr.seeds[scale_idx]
         if j > 1:
-            fine = np.stack([r.seeds[scale_idx] for r in reprs])
-            coarse = np.stack([r.seeds[scale_idx + 1] for r in reprs])
-            feats = _lin(params, f"prop{j - 1}", interpolate(feats, fine, coarse, k=3))
+            feats = _lin(params, f"prop{j - 1}", interpolate(feats, seeds, repr.seeds[scale_idx + 1], k=3))
             if config.skip_connections:
-                vis_here = np.concatenate([a.visible[scale_idx] for a in assignments])
+                vis_here = assignment.visible[scale_idx].ravel()
                 fused = _lin(params, f"skip{j}",
                              T.concat([T.gather(feats, np.flatnonzero(vis_here)), tokens[scale_idx]],
                                       axis=-1))
                 feats = _interleave(fused, T.gather(feats, np.flatnonzero(~vis_here)), vis_here)
         if plan[j - 1]:
-            coords = np.concatenate([r.seeds[scale_idx] for r in reprs])
-            pad = Padding(B, config.counts[scale_idx])
-            pos = _pos_encoding(params, f"dec{j}.pos", coords, dtype)
+            pad = Padding(*seeds.shape[:2])
+            pos = _pos_encoding(params, f"dec{j}.pos", seeds.reshape(-1, 3), dtype)
             for b in range(plan[j - 1]):
                 feats = encoder_block(params, f"dec{j}.blk{b + 1}", feats, pos, None,
                                       config.heads, pad)
@@ -505,10 +491,10 @@ def decode_batch(params, config, tokens, reprs, assignments):
 def decode(params, config, tokens, repr, assignment):
     """Decoder pass over one cloud; returns the full second-scale token set
     (N_2, C_2)."""
-    return decode_batch(params, config, tokens, [repr], [assignment])
+    return decode_batch(params, config, tokens, repr[None], assignment[None])
 
 
-def reconstruct_batch(params, config, dec_feats, reprs, assignments):
+def reconstruct_batch(params, config, dec_feats, repr, assignment):
     """Predict masked second-scale neighborhoods of B clouds; Chamfer loss.
 
     Each masked token's linear head output is k_2 offsets relative to its
@@ -518,33 +504,33 @@ def reconstruct_batch(params, config, dec_feats, reprs, assignments):
     with M_b the cloud's masked token count. Returns (predictions packed as
     (sum M_b, k_2, 3), scalar loss).
     """
-    masked = [np.flatnonzero(~a.visible[1]) for a in assignments]
-    if any(m.size == 0 for m in masked):
+    hidden = ~assignment.visible[1]
+    masked = hidden.sum(axis=1)
+    if not masked.all():
         raise ContractError("no masked second-scale token to reconstruct")
-    B, n2, k2 = len(masked), config.counts[1], config.ks[1]
     dtype = dec_feats.dtype
-    rows = np.concatenate([m + b * n2 for b, m in enumerate(masked)])
-    pred = T.reshape(_lin(params, "recon", T.gather(dec_feats, rows)), (rows.size, k2, 3))
-    gt = np.concatenate([r.parent_points[1][r.neighbor_index[1][m]] - r.seeds[1][m][:, None, :]
-                         for r, m in zip(reprs, masked)])
+    b, idx = np.nonzero(hidden)
+    rows = np.flatnonzero(hidden)
+    pred = T.reshape(_lin(params, "recon", T.gather(dec_feats, rows)), (rows.size, config.ks[1], 3))
+    gt = repr.seeds[0][b[:, None], repr.neighbor_index[1][b, idx]] - repr.seeds[1][b, idx][:, None, :]
     per_token = chamfer_sets(pred, gt.astype(dtype))
-    weights = np.concatenate([np.full(m.size, 1.0 / (B * m.size)) for m in masked]).astype(dtype)
+    weights = (1.0 / (masked.size * masked))[b].astype(dtype)
     return pred, T.reduce_sum(T.mul(per_token, weights))
 
 
 def reconstruct(params, config, dec_feats, repr, assignment):
     """Predict one cloud's masked second-scale neighborhoods; returns
     (predictions (M, k_2, 3), mean per-token Chamfer loss)."""
-    return reconstruct_batch(params, config, dec_feats, [repr], [assignment])
+    return reconstruct_batch(params, config, dec_feats, repr[None], assignment[None])
 
 
 def forward_pretrain_batch(params, config, clouds, rngs):
     """encode -> decode -> reconstruct over B clouds, each masked with its
     own rng; returns the scalar mean of the per-cloud Chamfer losses."""
-    reprs, assignments = hierarchy(config, clouds, rngs)
-    tokens = encode_batch(params, config, reprs, assignments)
-    dec = decode_batch(params, config, tokens, reprs, assignments)
-    return reconstruct_batch(params, config, dec, reprs, assignments)[1]
+    repr, assignment = hierarchy(config, clouds, rngs)
+    tokens = encode_batch(params, config, repr, assignment)
+    dec = decode_batch(params, config, tokens, repr, assignment)
+    return reconstruct_batch(params, config, dec, repr, assignment)[1]
 
 
 def pool_tokens(top, B):

@@ -236,9 +236,9 @@ class TestFinetune:
             if frozen:
                 features = lambda part: T.tensor(feats[rows][part])
             else:
-                reprs, asg = M.hierarchy(TINY, [recs[i].points for i in rows])
+                repr, asg = M.hierarchy(TINY, [recs[i].points for i in rows])
                 features = lambda part: M.pool_tokens(M.encode_batch(
-                    model.params, TINY, reprs[part], asg[part])[-1], len(reprs[part]))
+                    model.params, TINY, repr[part], asg[part])[-1], len(rows[part]))
             return TR.tape_gradients(
                 lambda part: T.softmax_cross_entropy(E.head_forward(head, features(part)),
                                                      labels[rows][part]),

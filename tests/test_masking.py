@@ -13,6 +13,14 @@ def cloud(seed, n=128):
     return np.random.default_rng(seed).normal(size=(n, 3))
 
 
+def assert_same_repr(got, want):
+    assert np.array_equal(got.input_points, want.input_points)
+    for name in ("seeds", "neighbor_index"):
+        assert len(getattr(got, name)) == len(getattr(want, name))
+        for a, b in zip(getattr(got, name), getattr(want, name)):
+            assert a.shape == b.shape and np.array_equal(a, b), name
+
+
 class TestBuildScales:
     def test_shapes_and_subset(self):
         pts = cloud(0, 200)
@@ -21,7 +29,7 @@ class TestBuildScales:
         assert [t.shape for t in repr.neighbor_index] == [(64, 8), (16, 4), (4, 4)]
         # seeds are actual parent points, FPS never invents coordinates
         for i in range(3):
-            parent = repr.parent_points[i]
+            parent = repr.input_points if i == 0 else repr.seeds[i - 1]
             for s in repr.seeds[i]:
                 assert (parent == s).all(axis=1).any()
 
@@ -51,14 +59,12 @@ class TestBuildScales:
         rng = np.random.default_rng(60)
         stack = np.round(rng.normal(size=(6, 90, 3)), 1)
         stack[:, 60:] = stack[:, :30]  # duplicated points
-        reprs = M.build_scales(stack, [30, 10, 4], [5, 4, 3])
-        assert len(reprs) == 6
-        for b, rep in enumerate(reprs):
+        stacked = M.build_scales(stack, [30, 10, 4], [5, 4, 3])
+        assert stacked.input_points.shape == (6, 90, 3)
+        assert [s.shape for s in stacked.seeds] == [(6, 30, 3), (6, 10, 3), (6, 4, 3)]
+        for b in range(6):
             one = M.build_scales(stack[b], [30, 10, 4], [5, 4, 3])
-            assert np.array_equal(rep.input_points, one.input_points)
-            for name in ("seeds", "neighbor_index", "parent_points"):
-                for got, want in zip(getattr(rep, name), getattr(one, name)):
-                    assert np.array_equal(got, want), name
+            assert_same_repr(stacked[b], one)
 
     def test_mixed_sizes_rejected(self):
         with pytest.raises(ContractError):
@@ -98,7 +104,6 @@ class TestBackProject:
             seeds=[np.zeros((4, 3)), np.zeros((2, 3))],
             neighbor_index=[np.zeros((4, 2), dtype=np.int64),
                             np.array([[0, 1], [2, 3]], dtype=np.int64)],
-            parent_points=[np.zeros((8, 3)), np.zeros((4, 3))],
         )
         out = M.back_project(repr, np.array([True, False]))
         assert np.array_equal(out.visible[0], np.array([True, True, False, False]))
@@ -217,3 +222,43 @@ class TestIndependentMasks:
             seed = repr.neighbor_index[i][seed, 0]
         for i in (1, 2):
             assert out.visible[i - 1][repr.neighbor_index[i][out.visible[i]]].any(axis=1).all()
+
+
+class TestStacks:
+    """Stacked hierarchies and masks are one-cloud calls, cloud by cloud."""
+
+    COUNTS, KS = [64, 32, 8], [16, 8, 8]
+    SEEDS = [84, 3, 11]  # cloud 84 takes the seed-0 chain (test_no_scale_left_empty)
+
+    def test_index_round_trip(self):
+        stack = np.stack([cloud(s) for s in self.SEEDS])
+        stacked = M.build_scales(stack, self.COUNTS, self.KS)
+        for b in range(len(self.SEEDS)):
+            one = M.build_scales(stack[b], self.COUNTS, self.KS)
+            assert_same_repr(stacked[b], one)
+            assert_same_repr(one[None][0], one)
+            assert_same_repr(stacked[b:b + 1][0], one)
+        vis = M.back_project(stacked[0], np.ones(8, dtype=bool))
+        assert all(np.array_equal(a, b) for a, b in zip(vis[None][0].visible, vis.visible))
+        assert [v.shape for v in vis[None].visible] == [(1, 64), (1, 32), (1, 8)]
+
+    def test_masks_on_a_stack_equal_one_cloud_masks(self):
+        stacked = M.build_scales(np.stack([cloud(s) for s in self.SEEDS]), self.COUNTS, self.KS)
+        coarse = np.stack([M.sample_visible(8, r, np.random.default_rng(s))
+                           for s, r in zip(self.SEEDS, (0.8, 0.0, 0.5))])
+        projected = M.back_project(stacked, coarse)
+        independent = M.independent_masks(stacked, 0.8, [np.random.default_rng(s) for s in self.SEEDS])
+        chained = []
+        for b, s in enumerate(self.SEEDS):
+            one = stacked[b]
+            for got, want in ((projected[b], M.back_project(one, coarse[b])),
+                              (independent[b], M.independent_masks(one, 0.8, np.random.default_rng(s)))):
+                assert len(got.visible) == len(want.visible) == 3
+                for g, w in zip(got.visible, want.visible):
+                    assert g.dtype == w.dtype == bool and np.array_equal(g, w)
+            rng = np.random.default_rng(s)  # the neighbour rule alone, without the chain
+            ruled = [M.sample_visible(n, 0.8, rng) for n in self.COUNTS]
+            for i in (1, 2):
+                ruled[i] &= ruled[i - 1][one.neighbor_index[i]].any(axis=1)
+            chained.append(not all(r.any() for r in ruled))
+        assert chained == [True, False, False]  # an emptied scale beside clouds without one

@@ -11,7 +11,7 @@ from msmae.data import DatasetRecord
 from msmae.errors import ConfigError, ContractError, InvariantError
 from msmae.geometry import radius_mask
 from msmae.evaluate import HIERARCHY_CHUNK, extract_features
-from msmae.masking import MaskAssignment, build_scales, verify_consistency
+from msmae.masking import MaskAssignment, MultiScaleRepr, build_scales, verify_consistency
 
 SMALL = M.ModelConfig(num_points=128, counts=(64, 32, 8), dims=(32, 64, 128),
                       radii=(0.32, 0.64, 1.28), ks=(16, 8, 8),
@@ -136,23 +136,16 @@ class TestEmbed:
         repr_b = build_scales(shifted, list(SMALL.counts), list(SMALL.ks))
         from msmae.masking import MaskAssignment
         all_vis = MaskAssignment(visible=[np.ones(c, dtype=bool) for c in SMALL.counts])
-        ea = M.embed_tokens(m.params, SMALL, [repr_a], [all_vis])
-        eb = M.embed_tokens(m.params, SMALL, [repr_b], [all_vis])
+        ea = M.embed_tokens(m.params, SMALL, repr_a[None], all_vis[None])
+        eb = M.embed_tokens(m.params, SMALL, repr_b[None], all_vis[None])
         assert np.abs(ea.data - eb.data).max() < 1e-5
 
     def test_degenerate_neighborhood(self):
         # all neighbors on the seed -> relative coords zero -> constant row
         m = M.Model.init(SMALL, seed=0)
-        pts = np.zeros((4, 3))
-
-        class FakeRepr:
-            input_points = pts
-            seeds = [np.zeros((2, 3))]
-            neighbor_index = [np.array([[0, 1], [2, 3]])]
-            parent_points = [pts]
-
-        from msmae.masking import MaskAssignment
-        out = M.embed_tokens(m.params, SMALL, [FakeRepr], [MaskAssignment(visible=[np.ones(2, bool)])])
+        repr = MultiScaleRepr(input_points=np.zeros((1, 4, 3)), seeds=[np.zeros((1, 2, 3))],
+                              neighbor_index=[np.array([[[0, 1], [2, 3]]])])
+        out = M.embed_tokens(m.params, SMALL, repr, MaskAssignment(visible=[np.ones((1, 2), bool)]))
         assert np.abs(out.data[0] - out.data[1]).max() == 0.0
 
 
@@ -163,10 +156,10 @@ class TestMerge:
         repr = build_scales(pts, list(SMALL.counts), list(SMALL.ks))
         from msmae.masking import MaskAssignment
         assignment = MaskAssignment(visible=[np.ones(c, dtype=bool) for c in SMALL.counts])
-        feats = M.embed_tokens(m.params, SMALL, [repr], [assignment])
-        out1 = M.merge_tokens(m.params, SMALL, [repr], [assignment], 2, feats)
+        feats = M.embed_tokens(m.params, SMALL, repr[None], assignment[None])
+        out1 = M.merge_tokens(m.params, SMALL, repr[None], assignment[None], 2, feats)
         repr.neighbor_index[1] = repr.neighbor_index[1][:, ::-1].copy()
-        out2 = M.merge_tokens(m.params, SMALL, [repr], [assignment], 2, feats)
+        out2 = M.merge_tokens(m.params, SMALL, repr[None], assignment[None], 2, feats)
         assert np.array_equal(out1.data, out2.data)
 
     def test_hidden_neighbor_pools_over_visible_ones(self):
@@ -175,12 +168,12 @@ class TestMerge:
         vis = [np.ones(c, dtype=bool) for c in SMALL.counts]
         vis[0][repr.neighbor_index[1][0, 0]] = False  # hide a neighbor of scale-2 seed 0
         assignment = MaskAssignment(visible=vis)
-        feats = M.embed_tokens(m.params, SMALL, [repr], [assignment])
-        out = M.merge_tokens(m.params, SMALL, [repr], [assignment], 2, feats)
+        feats = M.embed_tokens(m.params, SMALL, repr[None], assignment[None])
+        out = M.merge_tokens(m.params, SMALL, repr[None], assignment[None], 2, feats)
         row_of = np.cumsum(vis[0]) - 1
         for j, neigh in enumerate(repr.neighbor_index[1]):
             neigh = neigh[vis[0][neigh]]  # the visible neighbors alone
-            rel = repr.parent_points[1][neigh] - repr.seeds[1][j]
+            rel = repr.seeds[0][neigh] - repr.seeds[1][j]
             x = np.concatenate([feats.data[row_of[neigh]], rel.astype(np.float32)], axis=1)
             want = M._mlp2(m.params, "merge2", T.tensor(x)).data.max(axis=0)
             # the reference's matmuls have fewer rows: allow a few float32 ulps of rounding
@@ -192,9 +185,9 @@ class TestMerge:
         vis = [np.ones(c, dtype=bool) for c in SMALL.counts]
         vis[0][repr.neighbor_index[1][0]] = False  # hide every neighbor of scale-2 seed 0
         assignment = MaskAssignment(visible=vis)
-        feats_vis = M.embed_tokens(m.params, SMALL, [repr], [assignment])
+        feats_vis = M.embed_tokens(m.params, SMALL, repr[None], assignment[None])
         with pytest.raises(InvariantError):
-            M.merge_tokens(m.params, SMALL, [repr], [assignment], 2, feats_vis)
+            M.merge_tokens(m.params, SMALL, repr[None], assignment[None], 2, feats_vis)
 
     def test_independent_masks_encode(self):
         m = M.Model.init(SMALL, seed=0)
@@ -330,7 +323,7 @@ class TestEncodeDecode:
         masked = np.flatnonzero(~assignment.visible[1])
         total = 0.0
         for t, mi in enumerate(masked):
-            gt = repr.parent_points[1][repr.neighbor_index[1][mi]] - repr.seeds[1][mi]
+            gt = repr.seeds[0][repr.neighbor_index[1][mi]] - repr.seeds[1][mi]
             d = (gt ** 2).sum(axis=1)
             total += d.mean() + d.min()
         assert abs(float(loss.data) - total / masked.size) < 1e-5
@@ -569,7 +562,7 @@ class TestPacking:
         visible = M.hierarchy(SMALL, clouds, [np.random.default_rng(50 + s) for s in range(5)])[1]
         # the batch must exercise padding: visible counts differ per scale
         for i in (0, 1):
-            assert len({a.num_visible(i) for a in visible}) > 1
+            assert len(set(visible.visible[i].sum(axis=1).tolist())) > 1
         for cfg in self.configs():
             m = M.Model.init(cfg, seed=2, dtype=np.float64)
             names = list(M.param_shapes(cfg))
@@ -600,8 +593,11 @@ class TestPacking:
         r = np.random.default_rng(60)
         sizes = [7, 3, 5]
         coords = [r.normal(size=(n, 3)) * 0.5 for n in sizes]
+        visible = np.arange(7) < np.array(sizes)[:, None]  # a stack whose first seeds are visible
+        seeds = np.zeros((3, 7, 3))
+        seeds[visible] = np.concatenate(coords)
         pad = M.Padding.of(sizes)
-        allow = M._encoder_allow(coords, 0.9, pad, True)
+        allow = M._encoder_allow(seeds, visible, 0.9, pad, True)
         m = M.Model.init(SMALL, seed=3, dtype=np.float64)
         names = [n for n in M.param_shapes(SMALL) if n.startswith("enc1.")]
         x0, w = r.normal(size=(2, sum(sizes), 32))
@@ -636,14 +632,15 @@ class TestBatchedHierarchy:
         clouds = [np.round(cloud(70 + s), 1) for s in range(6)]
         independent = M.ModelConfig(**{**SMALL.__dict__, "multi_scale_mask": False})
         for cfg in (SMALL, independent):
-            reprs, masks = M.hierarchy(cfg, clouds, [np.random.default_rng(80 + s) for s in range(6)])
-            assert len(reprs) == len(masks) == 6
+            repr, masks = M.hierarchy(cfg, clouds, [np.random.default_rng(80 + s) for s in range(6)])
+            assert repr.input_points.shape[0] == 6
+            assert [v.shape for v in masks.visible] == [(6, n) for n in cfg.counts]
             for s, c in enumerate(clouds):
-                (one,), (mask,) = M.hierarchy(cfg, [c], [np.random.default_rng(80 + s)])
+                one, mask = M.hierarchy(cfg, [c], [np.random.default_rng(80 + s)])
                 for i in range(cfg.num_scales):
-                    assert np.array_equal(reprs[s].seeds[i], one.seeds[i])
-                    assert np.array_equal(reprs[s].neighbor_index[i], one.neighbor_index[i])
-                    assert np.array_equal(masks[s].visible[i], mask.visible[i])
+                    assert np.array_equal(repr.seeds[i][s], one.seeds[i][0])
+                    assert np.array_equal(repr.neighbor_index[i][s], one.neighbor_index[i][0])
+                    assert np.array_equal(masks.visible[i][s], mask.visible[i][0])
 
     def test_mixed_point_counts_rejected(self):
         with pytest.raises(ContractError):
