@@ -50,6 +50,8 @@ class MultiScaleRepr:
         return MultiScaleRepr(self.input_points[key], [s[key] for s in self.seeds],
                               [t[key] for t in self.neighbor_index])
 
+    __iter__ = None  # not a sequence: indexing alone would walk it until numpy's IndexError
+
 
 @dataclass
 class MaskAssignment:
@@ -62,6 +64,8 @@ class MaskAssignment:
 
     def __getitem__(self, key):
         return MaskAssignment([v[key] for v in self.visible])
+
+    __iter__ = None  # as in MultiScaleRepr
 
 
 def build_scales(points, counts, ks):

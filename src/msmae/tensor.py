@@ -6,9 +6,12 @@ tape's execution record. ``tape.gradients(loss, wrt)`` walks that record in
 exact reverse order and accumulates gradients additively, so two runs on
 identical inputs produce bit-identical gradients.
 
-A tape holds its recorded tensors and nothing refers back to it, so a
-finished tape and every activation it holds are freed as soon as the
-caller drops the tape, without waiting for the cyclic collector.
+A node keeps its parents' keys and its vjp closure, never its output, and
+each closure keeps only the arrays its backward reads, so an activation no
+backward needs dies when the caller drops it. A parent recorded on the same
+tape is keyed by its node index; a parameter, or a tensor from an outer
+tape, is held as a leaf. A tape is swept once, freeing each node's record
+as it goes; nothing refers back to a tape, so no cyclic collection is needed.
 
 Tensors hold a numpy array (row-major). Precision is whatever dtype the
 caller creates them with: models train in float32, gradient tests run in
@@ -20,6 +23,7 @@ one thread, and nested tapes record on the innermost.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +36,7 @@ GELU_C0 = math.sqrt(2.0 / math.pi)  # 0.7978845608028654
 GELU_C1 = 0.044715
 
 _TAPES = []  # active tapes, innermost last
+_SERIALS = itertools.count()  # one per Tape, so a tensor can name the tape that recorded it
 
 
 def _active_tape():
@@ -41,7 +46,7 @@ def _active_tape():
 class Tensor:
     """Dense n-dimensional float array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -50,6 +55,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self.node = None  # (tape serial, node index) once a tape records it
 
     @property
     def shape(self):
@@ -71,13 +77,15 @@ class Tape:
     """Ordered record of executed primitives for one forward pass.
 
     Nodes are appended in execution order, which is a topological order by
-    construction (an operand always exists before its consumer). backward()
-    visits them in exact reverse order.
+    construction (an operand always exists before its consumer). The one
+    backward sweep visits them in exact reverse order, leaving each spent.
     """
 
     def __init__(self):
-        self._nodes = []  # (out, parents, vjp); vjp(g) -> per-parent grads
-        self._out_ids = set()
+        self._serial = next(_SERIALS)
+        # (parent keys, vjp), None once spent; vjp(g) -> per-parent grads. A key
+        # is a node index, a leaf tensor, or None for a parent needing no grad.
+        self._nodes = []
 
     def __enter__(self):
         _TAPES.append(self)
@@ -88,46 +96,51 @@ class Tape:
         assert popped is self, "tape stack corrupted"
         return False
 
+    def _key(self, t):
+        node = t.node
+        return node[1] if node is not None and node[0] == self._serial else t
+
     def _record(self, out, parents, vjp):
+        keys = tuple(self._key(p) if p.requires_grad else None for p in parents)
         out.requires_grad = True
-        self._nodes.append((out, parents, vjp))
-        self._out_ids.add(id(out))
+        out.node = (self._serial, len(self._nodes))
+        self._nodes.append((keys, vjp))
 
-    def _flow(self, loss, keep=None):
-        """Reverse pass; returns {id(tensor): (tensor, grad array)}.
+    def _flow(self, loss, keep=()):
+        """The one reverse sweep; returns {key: grad array}.
 
-        With keep, a set of tensor ids, the gradient of any other recorded
-        output is dropped once its node has been visited, so intermediate
-        gradients do not all stay alive until the sweep ends.
+        Only leaves and the node indices in keep keep their gradients: any
+        other node's gradient, and its record, are dropped once visited.
         """
         if not isinstance(loss, Tensor):
             raise ContractError("backward expects a Tensor loss")
         if loss.data.ndim != 0:
             raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
-        if id(loss) not in self._out_ids:
+        start = self._key(loss)
+        if start is loss:
             raise ContractError("loss tensor was not produced on this tape")
-        grads = {id(loss): np.ones((), dtype=loss.data.dtype)}
-        tensors = {id(loss): loss}
-        for out, parents, vjp in reversed(self._nodes):
-            g = grads.get(id(out))
+        nodes = self._nodes
+        if nodes[0] is None:
+            raise ContractError("this tape was already swept; record the forward pass again")
+        grads = {start: np.ones((), dtype=loss.data.dtype)}
+        for j in range(start, -1, -1):
+            keys, vjp = nodes[j]
+            nodes[j] = None
+            g = grads.get(j) if j in keep else grads.pop(j, None)
             if g is None:
                 continue
-            contribs = vjp(g)
-            for parent, pg in zip(parents, contribs):
-                if pg is None or not parent.requires_grad:
+            for key, pg in zip(keys, vjp(g)):
+                if key is None or pg is None:
                     continue
-                key = id(parent)
                 held = grads.get(key)
                 # never in-place: contributions may be views of downstream grads
                 grads[key] = pg if held is None else held + pg
-                tensors[key] = parent
-            if keep is not None and id(out) not in keep:
-                del grads[id(out)]
-        return {k: (tensors[k], grads[k]) for k in grads}
+        return grads
 
     def backward(self, loss):
-        """Accumulate d(loss)/d(t) into t.grad for every tensor reachable from loss."""
-        for t, g in self._flow(loss).values():
+        """Accumulate d(loss)/d(t) into t.grad for every leaf t the loss
+        depends on. Sweeps the tape, so it runs once per tape."""
+        for t, g in self._flow(loss).items():
             g = np.ascontiguousarray(g)
             t.grad = g if t.grad is None else t.grad + g
 
@@ -135,13 +148,14 @@ class Tape:
         """Gradients for the given tensors, without touching .grad buffers.
 
         Returns one array per entry of wrt; zeros where loss does not depend
-        on the tensor.
+        on the tensor. Sweeps the tape, so it runs once per tape.
         """
-        flow = self._flow(loss, keep={id(t) for t in wrt})
+        keys = [self._key(t) for t in wrt]
+        flow = self._flow(loss, keep={k for k in keys if not isinstance(k, Tensor)})
         out = []
-        for t in wrt:
-            hit = flow.get(id(t))
-            out.append(np.ascontiguousarray(hit[1]) if hit is not None else np.zeros_like(t.data))
+        for t, k in zip(wrt, keys):
+            g = flow.get(k)
+            out.append(np.ascontiguousarray(g) if g is not None else np.zeros_like(t.data))
         return out
 
 
@@ -193,9 +207,10 @@ def add(a, b):
     a = as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = as_tensor(b, like=a)
     data = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _make(data, (a, b), vjp)
 
@@ -204,10 +219,14 @@ def mul(a, b):
     a = as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = as_tensor(b, like=a)
     data = a.data * b.data
+    # each factor's data is kept only for the other operand's gradient
+    sa, sb = a.data.shape, b.data.shape
+    da = a.data if b.requires_grad else None
+    db = b.data if a.requires_grad else None
 
     def vjp(g):
-        ga = _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None
+        ga = _unbroadcast(g * db, sa) if db is not None else None
+        gb = _unbroadcast(g * da, sb) if da is not None else None
         return ga, gb
 
     return _make(data, (a, b), vjp)
@@ -259,11 +278,12 @@ def linear(x, w, b):
         raise ShapeError(f"linear shapes incompatible: {dx.shape} x {dw.shape} + {b.data.shape}")
     data = dx @ dw
     data += b.data
+    x_grad, sb = x.requires_grad, b.data.shape
 
     def vjp(g):
-        gx = g @ dw.T if x.requires_grad else None
+        gx = g @ dw.T if x_grad else None
         gw = dx.reshape(-1, dx.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        return gx, gw, _unbroadcast(g, b.data.shape)
+        return gx, gw, _unbroadcast(g, sb)
 
     return _make(data, (x, w, b), vjp)
 
@@ -413,9 +433,10 @@ def gather(x, index):
     x = as_tensor(x)
     idx = _check_index(index, x.data.shape[0], "gather")
     data = x.data[idx]
+    shape, dtype = x.data.shape, x.data.dtype
 
     def vjp(g):
-        return (scatter_add(np.zeros_like(x.data), idx, g),)
+        return (scatter_add(np.zeros(shape, dtype), idx, g),)
 
     return _make(data, (x,), vjp)
 
@@ -463,11 +484,12 @@ def segment_max(x, num_segments):
         return Tensor(grouped.max(axis=1))
     arg = np.expand_dims(grouped.argmax(axis=1), 1)
     data = np.take_along_axis(grouped, arg, axis=1)[:, 0]
+    grouped_shape, shape, dtype = grouped.shape, d.shape, d.dtype
 
     def vjp(g):
-        buf = np.zeros_like(grouped)
+        buf = np.zeros(grouped_shape, dtype)
         np.put_along_axis(buf, arg, np.expand_dims(g, 1), axis=1)
-        return (buf.reshape(d.shape),)
+        return (buf.reshape(shape),)
 
     return _make(data, (x,), vjp)
 
@@ -479,10 +501,11 @@ def segment_mean(x, num_segments):
     d = x.data
     # reduceat, not reshape(...).sum(axis=1): the two round differently,
     # and seeded runs keep reduceat's bits
-    data = np.add.reduceat(d, np.arange(0, d.shape[0], k), axis=0) / d.dtype.type(k)
+    size = d.dtype.type(k)
+    data = np.add.reduceat(d, np.arange(0, d.shape[0], k), axis=0) / size
 
     def vjp(g):
-        return (np.repeat(g / d.dtype.type(k), k, axis=0),)
+        return (np.repeat(g / size, k, axis=0),)
 
     return _make(data, (x,), vjp)
 
@@ -490,9 +513,10 @@ def segment_mean(x, num_segments):
 def reshape(x, shape):
     x = as_tensor(x)
     data = x.data.reshape(shape)
+    before = x.data.shape
 
     def vjp(g):
-        return (g.reshape(x.data.shape),)
+        return (g.reshape(before),)
 
     return _make(data, (x,), vjp)
 
@@ -513,12 +537,11 @@ def reduce_sum(x, axis=None, keepdims=False):
     """Sum over an axis (or everything, yielding a 0-d scalar)."""
     x = as_tensor(x)
     data = x.data.sum(axis=axis, keepdims=keepdims)
+    shape = x.data.shape
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.data.shape),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, x.data.shape),)
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, shape),)
 
     return _make(data, (x,), vjp)
 
@@ -543,6 +566,6 @@ def softmax_cross_entropy(logits, labels):
     def vjp(g):
         gl = p.copy()
         gl[rows, lab] -= 1.0
-        return (gl * (g / d.shape[0]),)
+        return (gl * (g / rows.size),)
 
     return _make(data, (logits,), vjp)

@@ -222,8 +222,8 @@ class TestFinetune:
     @pytest.mark.parametrize("frozen", [False, True])
     def test_packed_gradients_match_single_clouds(self, frozen):
         # finetune's batch loss through training.tape_gradients: 5 clouds at
-        # 2 per tape make two full tapes and a tape of one
-        assert E.FINETUNE_TAPE_CLOUDS == 2
+        # 4 per tape make a full tape and a tape of one
+        assert E.FINETUNE_TAPE_CLOUDS == 4
         train, _ = self.records()
         recs = [r for r in train if r.label == 0][:3] + [r for r in train if r.label == 1][:2]
         labels = np.asarray([r.label for r in recs])

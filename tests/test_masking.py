@@ -242,6 +242,13 @@ class TestStacks:
         assert all(np.array_equal(a, b) for a, b in zip(vis[None][0].visible, vis.visible))
         assert [v.shape for v in vis[None].visible] == [(1, 64), (1, 32), (1, 8)]
 
+    def test_not_iterable(self):
+        stacked = M.build_scales(np.stack([cloud(s) for s in self.SEEDS]), self.COUNTS, self.KS)
+        mask = M.back_project(stacked, np.ones((len(self.SEEDS), 8), dtype=bool))
+        for obj in (stacked, stacked[0], mask, mask[0]):
+            with pytest.raises(TypeError):
+                iter(obj)
+
     def test_masks_on_a_stack_equal_one_cloud_masks(self):
         stacked = M.build_scales(np.stack([cloud(s) for s in self.SEEDS]), self.COUNTS, self.KS)
         coarse = np.stack([M.sample_visible(8, r, np.random.default_rng(s))

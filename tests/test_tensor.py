@@ -5,6 +5,8 @@ differences in float64. The comparison is relative with an absolute
 fallback near zero: |ad - fd| <= tol * max(1, |fd|).
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,8 +111,8 @@ class TestElementwise:
     def test_mul_skips_gradient_of_constant_operand(self):
         x = T.tensor(rng(32).normal(size=(3, 4)), requires_grad=True)
         with T.Tape() as tape:
-            T.mul(x, 0.5)
-        _, _, vjp = tape._nodes[-1]
+            y = T.mul(x, 0.5)
+        _, vjp = tape._nodes[y.node[1]]
         gx, gc = vjp(np.ones((3, 4)))
         assert np.array_equal(gx, np.full((3, 4), 0.5))
         assert gc is None
@@ -528,7 +530,6 @@ class TestTape:
 
     def test_finished_tape_freed_without_cycle_collector(self):
         import gc
-        import weakref
         x = T.tensor(np.ones(3), requires_grad=True, dtype=np.float64)
         gc.disable()
         try:
@@ -553,3 +554,81 @@ class TestTape:
             (go,) = outer.gradients(a, [x])
         assert abs(gi - 5.0) < 1e-12
         assert abs(go - 6.0) < 1e-12
+
+
+class TestRetention:
+    """A tape keeps only the arrays its backward reads, and is swept once."""
+
+    def test_scores_die_once_dropped(self):
+        r = rng(40)
+        q0, k0, w = r.normal(size=(2, 5, 4)), r.normal(size=(2, 4, 5)), r.normal(size=(2, 5, 5))
+        q, k = T.tensor(q0, requires_grad=True), T.tensor(k0, requires_grad=True)
+        with T.Tape() as tape:
+            raw = T.matmul(q, k)
+            scaled = T.mul(raw, 0.5)
+            loss = T.reduce_sum(T.mul(T.masked_softmax(scaled), T.tensor(w)))
+            refs = [weakref.ref(raw.data), weakref.ref(scaled.data)]
+            del raw, scaled
+            assert all(ref() is None for ref in refs)
+        gq, gk = tape.gradients(loss, [q, k])
+        p = np.exp(0.5 * q0 @ k0)
+        p /= p.sum(axis=-1, keepdims=True)
+        gs = 0.5 * p * (w - (w * p).sum(axis=-1, keepdims=True))
+        assert np.allclose(gq, gs @ k0.swapaxes(1, 2)) and np.allclose(gk, q0.swapaxes(1, 2) @ gs)
+
+    def test_add_and_segment_max_hold_no_inputs(self):
+        x = T.tensor(rng(41).normal(size=(6, 3)), requires_grad=True, dtype=np.float64)
+        with T.Tape() as tape:
+            h = T.mul(x, 2.0)
+            s = T.add(h, T.tensor(np.ones(3)))
+            m = T.segment_max(s, 2)
+            refs = [weakref.ref(h.data), weakref.ref(s.data)]
+            del h, s
+            assert all(ref() is None for ref in refs)
+            loss = T.reduce_sum(m)
+        (g,) = tape.gradients(loss, [x])
+        assert np.array_equal(g.sum(axis=0), np.full(3, 4.0))  # one max a channel per group, slope 2
+
+    def test_sweep_frees_what_backward_read(self):
+        x = T.tensor(rng(42).normal(size=(4,)), requires_grad=True, dtype=np.float64)
+        with T.Tape() as tape:
+            h = T.gelu(x)
+            loss = T.reduce_sum(T.mul(h, h))
+            ref = weakref.ref(h.data)
+            del h
+        assert ref() is not None  # mul's backward reads it
+        (g,) = tape.gradients(loss, [x])
+        assert ref() is None
+        assert len(tape._nodes) == 3
+        assert g.shape == (4,)
+
+    @pytest.mark.parametrize("first, second", [("gradients", "gradients"), ("backward", "gradients"),
+                                               ("gradients", "backward")])
+    def test_second_sweep_raises(self, first, second):
+        x = T.tensor(np.ones(3), requires_grad=True, dtype=np.float64)
+        with T.Tape() as tape:
+            loss = T.reduce_sum(T.mul(x, x))
+        sweep = {"gradients": lambda: tape.gradients(loss, [x]), "backward": lambda: tape.backward(loss)}
+        sweep[first]()
+        with pytest.raises(ContractError):
+            sweep[second]()
+
+    def test_outer_tensor_is_a_leaf_of_the_inner_tape(self):
+        x = T.tensor(np.array(3.0), requires_grad=True, dtype=np.float64)
+        with T.Tape() as outer:
+            a = T.mul(x, x)
+            with T.Tape() as inner:
+                b = T.mul(a, T.tensor(np.array(5.0)))
+            assert inner._nodes[0][0] == (a, None)
+            inner.backward(b)
+            (go,) = outer.gradients(a, [x])
+        assert a.grad == 5.0 and x.grad is None
+        assert go == 6.0
+
+    def test_gradient_of_an_intermediate(self):
+        x = T.tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=np.float64)
+        with T.Tape() as tape:
+            h = T.mul(x, 3.0)
+            loss = T.reduce_sum(T.mul(h, h))
+        gh, gx = tape.gradients(loss, [h, x])
+        assert np.array_equal(gh, [6.0, 12.0]) and np.array_equal(gx, [18.0, 36.0])
