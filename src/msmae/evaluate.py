@@ -7,9 +7,11 @@ Few-shot evaluation draws K-way (N support + 20 query)-per-class episodes
 from precomputed features. Finetuning puts a 3-layer MLP head on the
 pooled global feature and trains it, optionally with the encoder, in
 pretraining's loop (training.batches, tape_gradients, apply_step). An
-end-to-end step builds its batch's hierarchies in one stacked call, then
-runs FINETUNE_TAPE_CLOUDS clouds per tape, their token rows packed as in
-pretraining; more clouds per tape would hold more activations at once.
+end-to-end step trains the encoder_shapes parameters and the head, the
+ones the loss reaches, so the decoder leaves finetuning as it was. It
+builds its batch's hierarchies in one stacked call, then runs
+FINETUNE_TAPE_CLOUDS (eight) clouds per tape, their token rows packed as
+in pretraining; more clouds per tape would hold more activations at once.
 EvalConfig holds the settings of all three: the run's [eval] section.
 """
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError
-from .model import encode_batch, hierarchy, init_params, pool_tokens
+from .model import encode_batch, encoder_shapes, hierarchy, init_params, pool_tokens
 from .rng import derive_rng
 from .training import OptimizerState, Schedule, apply_step, batches, tape_gradients
 from .training import adamw_step  # kept: perfbench/tracing.py rebinds evaluate.adamw_step
@@ -208,7 +210,7 @@ def head_forward(head, feats):
     return T.linear(h, head["head.w2"], head["head.b2"])
 
 
-FINETUNE_TAPE_CLOUDS = 4  # clouds per tape in a finetune step; 8 would lift desk peak RSS 63 -> 69 MiB
+FINETUNE_TAPE_CLOUDS = 8  # clouds per tape in a finetune step; a desk run peaks at about 62 MiB RSS
 
 
 def finetune(model, train_records, val_records, num_classes, ec, seed=0):
@@ -219,9 +221,11 @@ def finetune(model, train_records, val_records, num_classes, ec, seed=0):
     Schedule defaults. seed draws the head and the shuffles. Masking
     is off throughout: features come from the full cloud. A step's
     gradient is the batch mean, from FINETUNE_TAPE_CLOUDS clouds per tape
-    (training.tape_gradients). With freeze_encoder the features are
-    precomputed once, without a tape, and only the head is updated, so the
-    encoder's parameters are bit-identical afterwards. A non-finite batch
+    (training.tape_gradients). End to end, the head and the encoder_shapes
+    parameters train; the decoder, mask token and reconstruction head are
+    bit-identical afterwards. With freeze_encoder the features are
+    precomputed once, without a tape, and only the head is updated, so
+    every model parameter is bit-identical afterwards. A non-finite batch
     loss raises NumericError (training.apply_step) before its step is applied.
     Returns (ProbeResult on the validation split, head parameter dict).
     """
@@ -232,7 +236,8 @@ def finetune(model, train_records, val_records, num_classes, ec, seed=0):
         raise ConfigError(f"batch_size {batch_size} exceeds train size {len(records)}")
     head = init_head(model.config.dims[-1], num_classes, seed)
     cached = extract_features(model, records) if frozen else None
-    trainable = dict(head) if frozen else {**model.params, **head}
+    trainable = dict(head) if frozen else {
+        **{n: model.params[n] for n in encoder_shapes(model.config)}, **head}
     opt = OptimizerState.init(trainable)
     sched = Schedule(base_lr=ec.finetune_lr, warmup_epochs=ec.finetune_warmup_epochs,
                      total_epochs=ec.finetune_epochs, steps_per_epoch=len(records) // batch_size)

@@ -149,8 +149,9 @@ def _pos_shapes(prefix, dim):
     }
 
 
-def param_shapes(config):
-    """Ordered name->shape map; creation, init and checkpoint order."""
+def encoder_shapes(config):
+    """Ordered name->shape map of the embedding, encoder stages and merges:
+    what a global feature reads, and param_shapes' leading entries."""
     config.validate()
     d = config.dims
     S = config.num_scales
@@ -173,6 +174,14 @@ def param_shapes(config):
                 f"merge{i + 2}.w0": (d[i] + 3, d[i + 1]), f"merge{i + 2}.b0": (d[i + 1],),
                 f"merge{i + 2}.w1": (d[i + 1], d[i + 1]), f"merge{i + 2}.b1": (d[i + 1],),
             })
+    return shapes
+
+
+def param_shapes(config):
+    """Ordered name->shape map; creation, init and checkpoint order."""
+    shapes = encoder_shapes(config)
+    d = config.dims
+    S = config.num_scales
     shapes["mask_token"] = (d[S - 1],)
     dec_plan = config.decoder_block_plan()
     for j in range(1, S):

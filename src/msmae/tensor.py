@@ -302,24 +302,27 @@ def gelu(x):
     np.tanh(t, out=t)
     data = 0.5 * d
     data *= 1.0 + t
+    if _active_tape() is None or not x.requires_grad:
+        return Tensor(data)
+    # the local slope 0.5*(1 + t) + 0.5*d*(1 - t*t)*GELU_C0*(1 + 3*GELU_C1*d*d),
+    # in place but in that expression's operation order, so in the same bits;
+    # the vjp holds this one array, so the input and t can die
+    inner = (3.0 * GELU_C1) * d
+    inner *= d
+    inner += 1.0
+    local = 0.5 * d
+    buf = t * t
+    np.subtract(1.0, buf, out=buf)
+    local *= buf
+    local *= GELU_C0
+    local *= inner
+    np.add(t, 1.0, out=buf)
+    buf *= 0.5
+    local += buf
 
     def vjp(g):
-        # g * (0.5*(1 + t) + 0.5*d*(1 - t*t)*GELU_C0*(1 + 3*GELU_C1*d*d)), in
-        # place but in that expression's operation order, so in the same bits
-        inner = (3.0 * GELU_C1) * d
-        inner *= d
-        inner += 1.0
-        local = 0.5 * d
-        buf = t * t
-        np.subtract(1.0, buf, out=buf)
-        local *= buf
-        local *= GELU_C0
-        local *= inner
-        np.add(t, 1.0, out=buf)
-        buf *= 0.5
-        local += buf
-        local *= g
-        return (local,)
+        # a tape is swept once, so the vjp may spend the slope's buffer
+        return (np.multiply(local, g, out=local),)
 
     return _make(data, (x,), vjp)
 

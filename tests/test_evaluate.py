@@ -1,5 +1,7 @@
 """Linear probe, few-shot episodes, and finetune head tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -219,17 +221,50 @@ class TestFinetune:
         for n, p in runs[0].items():
             assert p.data.tobytes() == runs[1][n].data.tobytes(), n
 
+    def test_decoder_leaves_finetuning_unchanged(self):
+        train, val = self.records()
+        model = M.Model.init(TINY, seed=0)
+        before = {n: p.data.tobytes() for n, p in model.params.items()}
+        ec = E.EvalConfig(finetune_epochs=2, finetune_batch_size=4,
+                          finetune_warmup_epochs=0, freeze_encoder=False)
+        E.finetune(model, train, val, num_classes=2, ec=ec)
+        encoder = M.encoder_shapes(TINY)
+        for n, p in model.params.items():
+            if n not in encoder:
+                assert p.data.tobytes() == before[n], n
+        assert any(model.params[n].data.tobytes() != before[n] for n in encoder)
+
+    def test_loss_reaches_exactly_the_encoder(self):
+        # under TINY's radii every scale-1 and scale-2 token of these clouds
+        # sees only itself, which gives its query and key weights exact zeros;
+        # global attention gives each token company. A key bias shifts a row's
+        # scores alike, so its gradient is only round-off, yet not exactly zero.
+        cfg = dataclasses.replace(TINY, local_attention=False)
+        train, _ = self.records()
+        recs = train[:4]
+        model = M.Model.init(cfg, seed=3, dtype=np.float64)
+        head = E.init_head(cfg.dims[-1], 2, seed=4, dtype=np.float64)
+        repr, asg = M.hierarchy(cfg, [r.points for r in recs])
+        with T.Tape() as tape:
+            feats = M.pool_tokens(M.encode_batch(model.params, cfg, repr, asg)[-1], len(recs))
+            loss = T.softmax_cross_entropy(E.head_forward(head, feats), np.asarray([r.label for r in recs]))
+        grads = tape.gradients(loss, list(model.params.values()))
+        reached = [n for n, g in zip(model.params, grads) if np.any(g)]
+        assert reached == list(M.encoder_shapes(cfg))
+
     @pytest.mark.parametrize("frozen", [False, True])
     def test_packed_gradients_match_single_clouds(self, frozen):
-        # finetune's batch loss through training.tape_gradients: 5 clouds at
-        # 4 per tape make a full tape and a tape of one
-        assert E.FINETUNE_TAPE_CLOUDS == 4
+        # finetune's batch loss through training.tape_gradients: 9 clouds at
+        # 8 per tape make a full tape and a tape of one
+        assert E.FINETUNE_TAPE_CLOUDS == 8
         train, _ = self.records()
-        recs = [r for r in train if r.label == 0][:3] + [r for r in train if r.label == 1][:2]
+        recs = [r for r in train if r.label == 0][:5] + [r for r in train if r.label == 1][:4]
+        assert len(recs) == 9
         labels = np.asarray([r.label for r in recs])
         model = M.Model.init(TINY, seed=3, dtype=np.float64)
         head = E.init_head(TINY.dims[-1], 2, seed=4, dtype=np.float64)
-        trainable = dict(head) if frozen else {**model.params, **head}
+        trainable = dict(head) if frozen else {
+            **{n: model.params[n] for n in M.encoder_shapes(TINY)}, **head}
         feats = E.extract_features(model, recs) if frozen else None
 
         def gradients(rows):
@@ -244,8 +279,8 @@ class TestFinetune:
                                                      labels[rows][part]),
                 len(rows), trainable, E.FINETUNE_TAPE_CLOUDS)
 
-        loss, packed = gradients(list(range(5)))
-        singles = [gradients([i]) for i in range(5)]
+        loss, packed = gradients(list(range(len(recs))))
+        singles = [gradients([i]) for i in range(len(recs))]
         want_loss = np.mean([l for l, _ in singles])
         assert abs(loss - want_loss) <= 1e-9 * want_loss
         want = [sum(g) / len(recs) for g in zip(*[g for _, g in singles])]

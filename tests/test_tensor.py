@@ -589,6 +589,23 @@ class TestRetention:
         (g,) = tape.gradients(loss, [x])
         assert np.array_equal(g.sum(axis=0), np.full(3, 4.0))  # one max a channel per group, slope 2
 
+    def test_gelu_holds_only_its_slope(self):
+        x0 = rng(43).normal(size=(5, 3))
+        w = rng(44).normal(size=(5, 3))
+        x = T.tensor(x0, requires_grad=True)
+        with T.Tape() as tape:
+            h = T.mul(x, 2.0)
+            y = T.gelu(h)
+            ref = weakref.ref(h.data)
+            del h
+            assert ref() is None
+            loss = T.reduce_sum(T.mul(y, T.tensor(w)))
+        (g,) = tape.gradients(loss, [x])
+        u = 2.0 * x0
+        t = np.tanh(T.GELU_C0 * (u + T.GELU_C1 * u ** 3))
+        slope = 0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * T.GELU_C0 * (1.0 + 3.0 * T.GELU_C1 * u * u)
+        assert np.allclose(g, 2.0 * w * slope, rtol=1e-12, atol=1e-12)
+
     def test_sweep_frees_what_backward_read(self):
         x = T.tensor(rng(42).normal(size=(4,)), requires_grad=True, dtype=np.float64)
         with T.Tape() as tape:
