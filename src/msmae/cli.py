@@ -165,7 +165,7 @@ def cmd_fewshot(args, rest):
 
 def cmd_finetune(args, rest):
     rc, model, (train_recs, val_recs) = _eval_inputs(args, rest)
-    num_classes = len({r.label for r in train_recs})
+    num_classes = max(r.label for r in train_recs + val_recs) + 1  # as linear_probe counts them
     e = rc.eval
     _log(f"finetuning on {len(train_recs)} clouds, {num_classes} classes, "
          f"{'frozen' if e.freeze_encoder else 'end-to-end'}")

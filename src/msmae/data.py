@@ -208,6 +208,8 @@ def load_pcb(path):
         )
     if len(blob) > want:
         raise ParseError(f"{path}: {len(blob) - want} trailing bytes after byte {want}")
+    if count == 0:
+        raise ParseError(f"{path}: no points found")
     pts = np.frombuffer(blob, dtype="<f4", count=count * 3, offset=8).reshape(count, 3)
     if not np.isfinite(pts).all():
         bad = int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0])
@@ -232,9 +234,12 @@ def load_labels(path):
             if len(parts) != 2:
                 raise ParseError(f"{path}:{lineno}: expected 'id<TAB>label'")
             try:
-                out[parts[0]] = int(parts[1])
+                label = int(parts[1])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: label {parts[1]!r} is not an integer") from None
+            if label < 0:
+                raise ParseError(f"{path}:{lineno}: label {label} is negative")
+            out[parts[0]] = label
     return out
 
 

@@ -125,7 +125,6 @@ def _block_shapes(prefix, dim):
         f"{prefix}.attn.wq": (dim, dim),
         f"{prefix}.attn.bq": (dim,),
         f"{prefix}.attn.wk": (dim, dim),
-        f"{prefix}.attn.bk": (dim,),
         f"{prefix}.attn.wv": (dim, dim),
         f"{prefix}.attn.bv": (dim,),
         f"{prefix}.attn.wo": (dim, dim),
@@ -273,7 +272,10 @@ def _attention(params, prefix, x, allow, heads, pad):
     C = x.shape[1]
     B, n = pad.count, pad.width
     dh = C // heads
-    q, k, v = (_lin(params, prefix, x, s) for s in "qkv")
+    q = _lin(params, prefix, x, "q")
+    # no key bias: it would add q_i.b to every score of row i, a shift softmax ignores
+    k = T.matmul(x, params[f"{prefix}.wk"])
+    v = _lin(params, prefix, x, "v")
 
     def split(t):  # packed (N, C) -> (B, heads, n, dh)
         if pad.real is not None:

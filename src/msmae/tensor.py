@@ -233,40 +233,25 @@ def mul(a, b):
 
 
 def matmul(a, b):
-    """Matrix product.
-
-    Accepts (m,k) @ (k,n), a stacked (..., m, k) @ (k, n) against a shared
-    right factor, or two stacked operands with identical leading dims.
-    Gradients: da = g @ b^T, db = a^T @ g (summed over stacking for a shared b).
+    """Matrix product of operands with equal rank >= 2 and identical leading
+    dims: (m, k) @ (k, n), or (..., m, k) @ (..., k, n) per stacked pair.
+    Gradients: da = g @ b^T, db = a^T @ g.
     """
     a = as_tensor(a)
     b = as_tensor(b)
     da, db = a.data, b.data
-    if da.ndim < 2 or db.ndim < 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {da.shape} x {db.shape}")
-    if db.ndim == 2:
-        if da.shape[-1] != db.shape[0]:
-            raise ShapeError(f"matmul inner dims differ: {da.shape} x {db.shape}")
-        data = da @ db
+    if da.ndim < 2 or da.ndim != db.ndim or da.shape[:-2] != db.shape[:-2] or da.shape[-1] != db.shape[-2]:
+        raise ShapeError(f"matmul shapes incompatible: {da.shape} x {db.shape}")
+    data = da @ db
 
-        def vjp(g):
-            ga = g @ db.T
-            gb = da.reshape(-1, da.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            return ga, gb
+    def vjp(g):
+        return g @ db.swapaxes(-1, -2), da.swapaxes(-1, -2) @ g
 
-        return _make(data, (a, b), vjp)
-    if da.ndim == db.ndim and da.shape[:-2] == db.shape[:-2] and da.shape[-1] == db.shape[-2]:
-        data = da @ db
-
-        def vjp(g):
-            return g @ db.swapaxes(-1, -2), da.swapaxes(-1, -2) @ g
-
-        return _make(data, (a, b), vjp)
-    raise ShapeError(f"matmul shapes incompatible: {da.shape} x {db.shape}")
+    return _make(data, (a, b), vjp)
 
 
 def linear(x, w, b):
-    """x @ w + b as one node: a (..., k) input, a (k, n) weight, an (n,) bias.
+    """x @ w + b as one node: an (N, k) input, a (k, n) weight, an (n,) bias.
 
     Values and gradients are bit-identical to add(matmul(x, w), b). The bias
     is added in place to the product, so no intermediate stays on the tape,
@@ -274,16 +259,14 @@ def linear(x, w, b):
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     dx, dw = x.data, w.data
-    if dx.ndim < 2 or dw.ndim != 2 or dx.shape[-1] != dw.shape[0] or b.data.shape != dw.shape[1:]:
+    if dx.ndim != 2 or dw.ndim != 2 or dx.shape[1] != dw.shape[0] or b.data.shape != dw.shape[1:]:
         raise ShapeError(f"linear shapes incompatible: {dx.shape} x {dw.shape} + {b.data.shape}")
     data = dx @ dw
     data += b.data
-    x_grad, sb = x.requires_grad, b.data.shape
+    x_grad = x.requires_grad
 
     def vjp(g):
-        gx = g @ dw.T if x_grad else None
-        gw = dx.reshape(-1, dx.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        return gx, gw, _unbroadcast(g, sb)
+        return g @ dw.T if x_grad else None, dx.T @ g, g.sum(axis=0)
 
     return _make(data, (x, w, b), vjp)
 

@@ -5,15 +5,17 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import warnings
 
 import numpy as np
 import pytest
 
 from msmae import cli
+from msmae.checkpoint import load_checkpoint
 from msmae.cli import main
 from msmae.config import _KEYS, load_run_config
-from msmae.data import DataConfig, load_pcb, make_records, save_xyz
+from msmae.data import PCB_MAGIC, DataConfig, load_pcb, make_records, save_xyz
 
 TINY_DATA = ["--data.total", "16", "--data.split_seed", "1", "--data.train_frac", "0.5"]
 TINY_TRAIN = ["--training.epochs", "1", "--training.batch_size", "4",
@@ -113,6 +115,7 @@ def assert_one_error_line(code, capsys):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
+    return lines[0]
 
 
 class TestRejectedValues:
@@ -178,6 +181,20 @@ class TestProbe:
         code = main(["probe", "--checkpoint", str(bad), "--out", str(tmp_path)])
         assert code == 2
         assert f"byte {bad.read_bytes().index(b'heads=x')}" in capsys.readouterr().err
+
+    def test_checkpoint_with_key_bias_refused(self, tmp_path, capsys, monkeypatch):
+        # the parameter table of a model whose attention still had a key bias
+        from msmae import checkpoint
+        from msmae.model import Model, param_shapes
+        cfg = load_run_config(None).model
+        params = Model.init(cfg, seed=0).params
+        params["enc1.blk1.attn.bk"] = params["enc1.blk1.attn.bq"]
+        monkeypatch.setattr(checkpoint, "param_shapes",
+                            lambda c: {**param_shapes(c), "enc1.blk1.attn.bk": (cfg.dims[0],)})
+        checkpoint.save_checkpoint(tmp_path / "old.pm2a", cfg, params)
+        monkeypatch.undo()
+        code = main(["probe", "--checkpoint", str(tmp_path / "old.pm2a"), "--out", str(tmp_path)])
+        assert "unexpected ['enc1.blk1.attn.bk']" in assert_one_error_line(code, capsys)
 
     def test_neither_checkpoint_nor_random_init(self, tmp_path, capsys):
         code = main(["probe", "--out", str(tmp_path), *TINY_DATA])
@@ -369,6 +386,61 @@ class TestGenData:
         code = main(["gen-data", "--out", str(tmp_path / "ds"), "--data.source", str(tmp_path)])
         assert_one_error_line(code, capsys)
         assert not (tmp_path / "ds").exists()
+
+
+@pytest.fixture(scope="module")
+def three_classes(tmp_path_factory):
+    """A gen-data directory of three classes, labels 0..2 in labels.tsv."""
+    out = tmp_path_factory.mktemp("three") / "ds"
+    assert main(["gen-data", "--out", str(out), "--data.kinds", "sphere,torus,plane",
+                 "--data.per_class", "6"]) == 0
+    return out
+
+
+class TestDatasetDirectory:
+    """Dataset directories whose labels or clouds the loader must refuse or count."""
+
+    def copy(self, three_classes, tmp_path, label=lambda old: old):
+        root = tmp_path / "ds"
+        shutil.copytree(three_classes, root)
+        lines = [line.split("\t") for line in (root / "labels.tsv").read_text().splitlines()]
+        (root / "labels.tsv").write_text("".join(f"{key}\t{label(int(old))}\n" for key, old in lines))
+        return root
+
+    def probe_argv(self, root, tmp_path):
+        return ["probe", "--random-init", "--data.source", str(root), "--out", str(tmp_path / "out"),
+                *TINY_DATA, "--eval.probe_iters", "5"]
+
+    def assert_refused(self, code, capsys, names):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and err.strip().splitlines()[-1] == errors[0], err
+        assert names in errors[0]
+
+    def test_negative_label_refused(self, three_classes, tmp_path, capsys):
+        root = self.copy(three_classes, tmp_path, lambda old: -1 if old == 2 else old)
+        line = next(i for i, text in enumerate((root / "labels.tsv").read_text().splitlines(), 1)
+                    if text.endswith("\t-1"))
+        code = main(self.probe_argv(root, tmp_path))
+        self.assert_refused(code, capsys, f"labels.tsv:{line}:")
+
+    def test_empty_pcb_refused(self, three_classes, tmp_path, capsys):
+        root = self.copy(three_classes, tmp_path)
+        (root / "torus" / "empty.pcb").write_bytes(PCB_MAGIC + (0).to_bytes(4, "little"))
+        with open(root / "labels.tsv", "a") as fh:
+            fh.write("torus/empty\t1\n")
+        code = main(self.probe_argv(root, tmp_path))
+        self.assert_refused(code, capsys, str(root / "torus" / "empty.pcb"))
+
+    def test_finetune_counts_classes_as_probe(self, three_classes, tmp_path, capsys):
+        root = self.copy(three_classes, tmp_path, lambda old: old + 1)  # labels 1..3, no 0
+        out = tmp_path / "out"
+        assert main(["finetune", "--random-init", "--data.source", str(root), "--out", str(out),
+                     *FINETUNE_TINY]) == 0
+        _, _, _, head = load_checkpoint(out / "checkpoint_finetuned.pm2a")
+        assert head["head.w2"].shape[1] == 4
 
 
 class TestRemovedFlags:

@@ -177,6 +177,13 @@ class TestPcb:
         assert "1" in str(exc.value)
 
 
+    def test_empty_cloud_rejected(self, tmp_path):
+        path = tmp_path / "e.pcb"
+        path.write_bytes(D.PCB_MAGIC + (0).to_bytes(4, "little"))
+        with pytest.raises(ParseError, match="no points"):
+            D.load_pcb(path)
+
+
 class TestLabels:
     def test_round_trip(self, tmp_path):
         labels = {"sphere/a-1": 0, "cube/b-2": 1}
@@ -190,6 +197,13 @@ class TestLabels:
         with pytest.raises(ParseError) as exc:
             D.load_labels(path)
         assert ":2:" in str(exc.value)
+
+    def test_negative_label_numbered(self, tmp_path):
+        # numpy would file label -1 under the last class
+        path = tmp_path / "labels.tsv"
+        path.write_text("a\t0\nb\t1\nc\t-1\n")
+        with pytest.raises(ParseError, match=r"labels\.tsv:3: label -1 is negative"):
+            D.load_labels(path)
 
 
 class TestResample:

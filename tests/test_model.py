@@ -1,5 +1,6 @@
 """Model structure, locality, invariance, and gradient tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from msmae import model as M
 from msmae import tensor as T
-from msmae.data import DatasetRecord
+from msmae.config import load_run_config
+from msmae.data import DatasetRecord, make_records
 from msmae.errors import ConfigError, ContractError, InvariantError
 from msmae.geometry import radius_mask
 from msmae.evaluate import HIERARCHY_CHUNK, extract_features
@@ -83,7 +85,7 @@ class TestParams:
     def test_count_is_pure_function_of_config(self):
         assert M.param_count(SMALL) == M.param_count(SMALL)
         # golden regression for the full-size default configuration
-        assert M.param_count(M.ModelConfig()) == 14715000
+        assert M.param_count(M.ModelConfig()) == 14711064
 
     def test_ablations_change_count_as_documented(self):
         base = M.param_count(SMALL)
@@ -433,6 +435,21 @@ class TestEndToEndGradients:
             assert abs(ad - fd) <= 1e-3 * max(1.0, abs(fd)), \
                 f"{name}[{j}]: ad {ad:.6e} vs fd {fd:.6e}"
             checked += 1
+
+    def test_every_parameter_reaches_the_pretraining_loss(self):
+        # a parameter the loss cannot reach gets only round-off, which AdamW
+        # still turns into steps as large as the learning rate
+        rc = load_run_config("desk")
+        clouds = [r.points for r in make_records(dataclasses.replace(rc.data, total=5))[:4]]
+        m = M.Model.init(rc.model, seed=7, dtype=np.float64)
+        with T.Tape() as tape:
+            loss = M.forward_pretrain_batch(m.params, rc.model, clouds,
+                                            [np.random.default_rng(i) for i in range(4)])
+        names = list(M.param_shapes(rc.model))
+        grads = tape.gradients(loss, [m.params[n] for n in names])
+        norm = np.sqrt(sum((g * g).sum() for g in grads))
+        dead = [n for n, g in zip(names, grads) if np.abs(g).max() <= 1e-9 * norm]
+        assert dead == []
 
 
 class TestCheckpoints:

@@ -132,9 +132,9 @@ class TestMatmul:
                  [r.normal(size=(3, 4)), r.normal(size=(4, 2))])
 
     def test_stacked_shared_right(self):
-        r = rng(5)
-        fd_check(lambda a, b: T.reduce_sum(T.mul(T.matmul(a, b), T.matmul(a, b))),
-                 [r.normal(size=(2, 3, 4)), r.normal(size=(4, 2))])
+        # one form only: operands of equal rank with equal leading dims
+        with pytest.raises(ShapeError):
+            T.matmul(T.tensor(np.zeros((2, 3, 4))), T.tensor(np.zeros((4, 2))))
 
     def test_stacked_both(self):
         r = rng(6)
@@ -154,7 +154,7 @@ class TestMatmul:
 
 
 class TestLinear:
-    @pytest.mark.parametrize("lead", [(5,), (3, 5)])
+    @pytest.mark.parametrize("lead", [(5,)])
     def test_bits_match_matmul_then_add(self, lead):
         r = rng(31)
         arrays = [r.normal(size=lead + (4,)), r.normal(size=(4, 3)), r.normal(size=(3,)),
@@ -177,13 +177,9 @@ class TestLinear:
         fd_check(lambda x, w, b: T.reduce_sum(T.mul(T.linear(x, w, b), T.linear(x, w, b))),
                  [r.normal(size=(3, 4)), r.normal(size=(4, 2)), r.normal(size=(2,))])
 
-    def test_stacked_grad(self):
-        r = rng(33)
-        fd_check(lambda x, w, b: T.reduce_sum(T.mul(T.linear(x, w, b), T.linear(x, w, b))),
-                 [r.normal(size=(2, 3, 4)), r.normal(size=(4, 2)), r.normal(size=(2,))])
-
     @pytest.mark.parametrize("shapes", [((3, 4), (5, 2), (2,)), ((3, 4), (4, 2), (3,)),
-                                        ((4,), (4, 2), (2,)), ((3, 4), (2, 4, 2), (2,))])
+                                        ((4,), (4, 2), (2,)), ((3, 4), (2, 4, 2), (2,)),
+                                        ((2, 3, 4), (4, 2), (2,))])
     def test_shape_errors(self, shapes):
         with pytest.raises(ShapeError):
             T.linear(*[T.tensor(np.zeros(s)) for s in shapes])
