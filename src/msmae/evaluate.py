@@ -8,10 +8,12 @@ from precomputed features. Finetuning puts a 3-layer MLP head on the
 pooled global feature and trains it, optionally with the encoder, in
 pretraining's loop (training.batches, tape_gradients, apply_step). An
 end-to-end step trains the encoder_shapes parameters and the head, the
-ones the loss reaches, so the decoder leaves finetuning as it was. It
-builds its batch's hierarchies in one stacked call, then runs
-FINETUNE_TAPE_CLOUDS (eight) clouds per tape, their token rows packed as
-in pretraining; more clouds per tape would hold more activations at once.
+ones the loss reaches, so the decoder leaves finetuning as it was. The
+train clouds' hierarchies are built once per run, HIERARCHY_CHUNK clouds
+at a time (model.hierarchy_index); a step puts its batch's picks and
+tables on the clouds, then runs FINETUNE_TAPE_CLOUDS (eight) clouds per
+tape, their token rows packed as in pretraining; more clouds per tape
+would hold more activations at once.
 EvalConfig holds the settings of all three: the run's [eval] section.
 """
 
@@ -24,7 +26,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError
-from .model import encode_batch, encoder_shapes, hierarchy, init_params, pool_tokens
+from .model import (HIERARCHY_CHUNK, encode_batch, encoder_shapes, hierarchy, hierarchy_index,
+                    init_params, pool_tokens)
 from .rng import derive_rng
 from .training import OptimizerState, Schedule, apply_step, batches, tape_gradients
 from .training import adamw_step  # kept: perfbench/tracing.py rebinds evaluate.adamw_step
@@ -125,9 +128,6 @@ def linear_probe(train_feats, train_labels, test_feats, test_labels,
     return _score(yte, (Xte @ W).argmax(axis=1), k, m)
 
 
-HIERARCHY_CHUNK = 32  # records whose hierarchies are built in one stacked call
-
-
 def extract_features(model, records):
     """Global feature per record, stacked (M, C_S); no masking, no tape.
 
@@ -222,11 +222,13 @@ def finetune(model, train_records, val_records, num_classes, ec, seed=0):
     is off throughout: features come from the full cloud. A step's
     gradient is the batch mean, from FINETUNE_TAPE_CLOUDS clouds per tape
     (training.tape_gradients). End to end, the head and the encoder_shapes
-    parameters train; the decoder, mask token and reconstruction head are
-    bit-identical afterwards. With freeze_encoder the features are
-    precomputed once, without a tape, and only the head is updated, so
-    every model parameter is bit-identical afterwards. A non-finite batch
-    loss raises NumericError (training.apply_step) before its step is applied.
+    parameters train, and each train cloud's hierarchy is built once,
+    before the first step, since finetuning never augments; the decoder,
+    mask token and reconstruction head are bit-identical afterwards. With
+    freeze_encoder the features are precomputed once, without a tape, and
+    only the head is updated, so every model parameter is bit-identical
+    afterwards. A non-finite batch loss raises NumericError
+    (training.apply_step) before its step is applied.
     Returns (ProbeResult on the validation split, head parameter dict).
     """
     ec.validate()
@@ -236,6 +238,7 @@ def finetune(model, train_records, val_records, num_classes, ec, seed=0):
         raise ConfigError(f"batch_size {batch_size} exceeds train size {len(records)}")
     head = init_head(model.config.dims[-1], num_classes, seed)
     cached = extract_features(model, records) if frozen else None
+    index = None if frozen else hierarchy_index(model.config, [r.points for r in records])
     trainable = dict(head) if frozen else {
         **{n: model.params[n] for n in encoder_shapes(model.config)}, **head}
     opt = OptimizerState.init(trainable)
@@ -246,7 +249,8 @@ def finetune(model, train_records, val_records, num_classes, ec, seed=0):
         if frozen:
             features = lambda part: T.tensor(cached[rows][part])
         else:
-            repr, assignment = hierarchy(model.config, [records[i].points for i in rows.tolist()])
+            repr, assignment = hierarchy(model.config, [records[i].points for i in rows.tolist()],
+                                         index=index[rows])
             features = lambda part: pool_tokens(encode_batch(
                 model.params, model.config, repr[part], assignment[part])[-1], len(rows[part]))
         loss, grads = tape_gradients(

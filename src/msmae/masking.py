@@ -15,6 +15,9 @@ A batch of clouds is one stack, not a list of per-cloud objects: every
 array of its MultiScaleRepr and MaskAssignment keeps a leading cloud axis,
 as geometry.fps and knn do. build_scales, back_project and independent_masks
 take one cloud or a stack, and on a stack equal one-cloud calls, cloud by cloud.
+
+A ScaleIndex is a hierarchy's picks and tables without coordinates:
+training builds it once per record and puts it on each step's points.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ class MultiScaleRepr:
     input_points: np.ndarray
     seeds: list
     neighbor_index: list
+    picks: list = None  # from build_scales: seeds[i] is scale i-1's points at picks[i]
 
     @property
     def num_scales(self):
@@ -48,9 +52,45 @@ class MultiScaleRepr:
 
     def __getitem__(self, key):
         return MultiScaleRepr(self.input_points[key], [s[key] for s in self.seeds],
-                              [t[key] for t in self.neighbor_index])
+                              [t[key] for t in self.neighbor_index],
+                              None if self.picks is None else [p[key] for p in self.picks])
 
     __iter__ = None  # not a sequence: indexing alone would walk it until numpy's IndexError
+
+    def index(self):
+        """This hierarchy's ScaleIndex (it needs picks), in the narrowest
+        unsigned dtype that holds an index into the input points."""
+        dtype = np.min_scalar_type(self.input_points.shape[-2] - 1)
+        return ScaleIndex([p.astype(dtype) for p in self.picks],
+                          [t.astype(dtype) for t in self.neighbor_index])
+
+
+@dataclass
+class ScaleIndex:
+    """A hierarchy without coordinates: picks[i] and neighbor_index[i] of
+    a MultiScaleRepr, for one cloud or a stack, indexed as it is.
+
+    on(points) puts it back on coordinates: each scale's seeds are gathered
+    from the scale below, so they are copies of the input floats, the same
+    bits as a build that picks the same points.
+    """
+
+    picks: list
+    neighbor_index: list
+
+    def __getitem__(self, key):
+        return ScaleIndex([p[key] for p in self.picks], [t[key] for t in self.neighbor_index])
+
+    __iter__ = None  # as in MultiScaleRepr
+
+    def on(self, points):
+        """MultiScaleRepr of points (one cloud or a stack, as the index) on these picks and tables."""
+        seeds, src = [], np.asarray(points)
+        for p in self.picks:
+            src = np.take_along_axis(src, p[..., None], axis=-2)
+            seeds.append(src)
+        tables = [t.astype(np.intp) for t in self.neighbor_index]  # a build's dtype, safe for arithmetic
+        return MultiScaleRepr(points, seeds, tables)
 
 
 @dataclass
@@ -78,7 +118,7 @@ def build_scales(points, counts, ks):
     """
     pts = as_points(points, "points")
     stack = pts.reshape(-1, *pts.shape[-2:])
-    seeds, tables = [], []
+    seeds, tables, picks = [], [], []
     src = stack
     for n_i, k_i in zip(counts, ks):
         order = lex_order(src)
@@ -86,8 +126,9 @@ def build_scales(points, counts, ks):
         ctr = np.take_along_axis(src, sel[:, :, None], axis=1)
         tables.append(knn(ctr, src, k_i, order=order))
         seeds.append(ctr)
+        picks.append(sel)
         src = ctr
-    repr = MultiScaleRepr(stack, seeds, tables)
+    repr = MultiScaleRepr(stack, seeds, tables, picks)
     return repr if pts.ndim == 3 else repr[0]
 
 

@@ -24,6 +24,8 @@ np.nonzero of each scale's (B, N_i) visibility: cloud after cloud, by
 ascending seed position. So every linear layer, norm and MLP runs once
 over all rows. Attention stays within a cloud through a padded (B, n, n)
 layout (Padding), whose radius masks come from one stacked radius_mask.
+Training builds the hierarchies of its records once (hierarchy_index) and
+each step puts its batch's picks and tables on the step's clouds.
 encode, decode and reconstruct are the B=1 case of the same code (repr[None]);
 a one-cloud pretraining loss is forward_pretrain_batch with one-element lists.
 
@@ -41,7 +43,8 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ContractError, InvariantError
 from .geometry import as_points, chamfer_sets, interpolate, radius_mask
-from .masking import MaskAssignment, back_project, build_scales, independent_masks, sample_visible
+from .masking import (MaskAssignment, ScaleIndex, back_project, build_scales, independent_masks,
+                      sample_visible)
 
 FFN_RATIO = 4  # hidden width of every feed-forward layer, in multiples of C
 
@@ -378,20 +381,36 @@ def merge_tokens(params, config, repr, assignment, scale, feats):
     return T.segment_max(h, n)
 
 
-def hierarchy(config, clouds, rngs=None):
+def hierarchy(config, clouds, rngs=None, index=None):
     """Scales and visibility masks of a batch of clouds, plain numpy.
 
     clouds is a (B, N, 3) stack or a list of B (N, 3) clouds; their scales
-    come from one stacked build_scales. rngs holds one generator per cloud,
-    each drawing only its own cloud's mask (draw_mask); without rngs every
-    seed is visible. Returns the batch's (MultiScaleRepr, MaskAssignment),
-    whose [b] is what a one-cloud call gives for cloud b.
+    come from one stacked build_scales, or are put on the clouds from their
+    prebuilt ScaleIndex `index` (see hierarchy_index). rngs holds one
+    generator per cloud, each drawing only its own cloud's mask (draw_mask);
+    without rngs every seed is visible. Returns the batch's
+    (MultiScaleRepr, MaskAssignment), whose [b] is what a one-cloud call
+    gives for cloud b.
     """
     pts = as_points(clouds, "clouds")  # ContractError if ragged, empty or not finite
     if pts.ndim != 3 or pts.shape[1] < config.num_points:
         raise ContractError(f"clouds must be (B, >= {config.num_points}, 3), got {pts.shape}")
-    repr = build_scales(pts, list(config.counts), list(config.ks))
+    repr = build_scales(pts, list(config.counts), list(config.ks)) if index is None else index.on(pts)
     return repr, draw_mask(config, repr, rngs)
+
+
+HIERARCHY_CHUNK = 128  # clouds whose hierarchies are built in one stacked call
+
+
+def hierarchy_index(config, clouds):
+    """ScaleIndex of a list of clouds: their hierarchy's picks and tables,
+    built HIERARCHY_CHUNK clouds at a time and kept without coordinates, in
+    the narrowest unsigned dtype that holds a point index."""
+    parts = [hierarchy(config, clouds[lo:lo + HIERARCHY_CHUNK])[0].index()
+             for lo in range(0, len(clouds), HIERARCHY_CHUNK)]
+    scales = range(config.num_scales)
+    return ScaleIndex([np.concatenate([p.picks[i] for p in parts]) for i in scales],
+                      [np.concatenate([p.neighbor_index[i] for p in parts]) for i in scales])
 
 
 def draw_mask(config, repr, rngs):
@@ -535,10 +554,11 @@ def reconstruct(params, config, dec_feats, repr, assignment):
     return reconstruct_batch(params, config, dec_feats, repr[None], assignment[None])
 
 
-def forward_pretrain_batch(params, config, clouds, rngs):
+def forward_pretrain_batch(params, config, clouds, rngs, index=None):
     """encode -> decode -> reconstruct over B clouds, each masked with its
-    own rng; returns the scalar mean of the per-cloud Chamfer losses."""
-    repr, assignment = hierarchy(config, clouds, rngs)
+    own rng, on their prebuilt ScaleIndex when given (see hierarchy);
+    returns the scalar mean of the per-cloud Chamfer losses."""
+    repr, assignment = hierarchy(config, clouds, rngs, index)
     tokens = encode_batch(params, config, repr, assignment)
     dec = decode_batch(params, config, tokens, repr, assignment)
     return reconstruct_batch(params, config, dec, repr, assignment)[1]

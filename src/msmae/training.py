@@ -15,6 +15,12 @@ gradients, and apply_step checks the loss and steps AdamW. Pretraining
 runs the whole batch on a single tape, its clouds' token rows packed
 together (model.forward_pretrain_batch), so the mean of the per-cloud
 losses gives the batch-mean gradient directly.
+
+Each record's hierarchy is built once per run, from its stored
+coordinates (model.hierarchy_index), and every step gathers its seeds
+from the step's augmented points. augment is a similarity, one shared
+scale then a shift, under which farthest point sampling and kNN pick the
+same points, so the cache stands in for a build on the augmented cloud.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .codec import derived, format_value
 from .errors import ConfigError, ContractError, NumericError
-from .model import forward_pretrain_batch
+from .model import forward_pretrain_batch, hierarchy_index
 from .rng import derive_rng
 
 
@@ -176,6 +182,8 @@ def augment(points, rng, scale_range=(0.8, 1.25), shift_range=0.1):
 
     Draw order is fixed: one shared scale factor first, then a 3-vector
     shift, so a given generator state always produces the same transform.
+    It must stay a similarity: train reuses each record's hierarchy, built
+    on its stored coordinates, for every augmented copy.
     """
     pts = np.asarray(points, dtype=np.float64)
     s = rng.uniform(scale_range[0], scale_range[1])
@@ -261,7 +269,8 @@ def train(model, records, tc, resume=None, snapshot=None):
     Emits one JSON metric line per optimizer step to out_dir/metrics.jsonl
     and writes checkpoints under out_dir, and the text `snapshot`, when
     given, to out_dir/config.ini. Returns (opt_state, last_loss).
-    Records are sorted by id first, so shard order never matters. A
+    Records are sorted by id first, so shard order never matters, and
+    their hierarchies are built once, before the first step. A
     non-finite batch loss aborts with the failing step in the message.
     On resume, metrics lines of the steps the run redoes are dropped
     before new ones are written, and a checkpoint whose run digest
@@ -292,6 +301,7 @@ def train(model, records, tc, resume=None, snapshot=None):
         start_epoch = int(packed["epoch"])
         if start_epoch >= tc.epochs:
             raise ConfigError(f"checkpoint already at epoch {start_epoch} of {tc.epochs}")
+    index = hierarchy_index(model.config, [r.points for r in records])
     os.makedirs(tc.out_dir, exist_ok=True)
     if snapshot is not None:
         with open(os.path.join(tc.out_dir, "config.ini"), "w") as fh:
@@ -310,7 +320,8 @@ def train(model, records, tc, resume=None, snapshot=None):
                                   tc.shift_range) for pts, i in zip(clouds, rows)]
             mask_rngs = [derive_rng(tc.seed, "mask", epoch, i) for i in rows]
             loss, grads = tape_gradients(lambda part: forward_pretrain_batch(
-                model.params, model.config, clouds[part], mask_rngs[part]), len(rows), model.params)
+                model.params, model.config, clouds[part], mask_rngs[part], index[rows][part]),
+                len(rows), model.params)
             lr = apply_step(model.params, grads, opt, sched, loss, epoch, "training", tc.grad_clip)
             last_loss = loss
             wall = 0 if tc.test_mode else int((time.monotonic() - t0) * 1000)

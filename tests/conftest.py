@@ -7,6 +7,8 @@ though pytest captures stdout during the tests themselves.
 
 import sys
 
+import msmae  # noqa: F401  before any test module loads numpy: the suite runs under its BLAS pin
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     mod = sys.modules.get("test_acceptance")

@@ -6,6 +6,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -499,6 +501,32 @@ class TestInspectMask:
                      "--seed", "2"])
         assert code == 0
         assert "closure: OK" in capsys.readouterr().out
+
+
+def test_blas_thread_count_leaves_the_bytes(tmp_path):
+    """msmae pins OpenBLAS to one thread before numpy loads, so a seeded
+    desk pretrain and an end-to-end finetune from one checkpoint write the
+    same bytes whatever thread count the environment asks for."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+    def msmae(threads, *argv):
+        env = {**os.environ, "PYTHONPATH": src,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "msmae.cli", *argv, "--seed", "0"], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        msmae(threads, "pretrain", "--out", str(out), "--test-mode", "--training.epochs", "2",
+              "--training.warmup_epochs", "0")
+        msmae(threads, "finetune", "--checkpoint", str(tmp_path / "1" / "checkpoint_final.pm2a"),
+              "--out", str(out / "ft"), "--eval.finetune_epochs", "1",
+              "--eval.finetune_warmup_epochs", "0")
+        written[threads] = [(out / name).read_bytes() for name in
+                            ("checkpoint_final.pm2a", "metrics.jsonl", "ft/checkpoint_finetuned.pm2a")]
+    assert written["1"] == written["2"]
 
 
 def test_readme_flags_exist():

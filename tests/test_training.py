@@ -14,9 +14,11 @@ from msmae import evaluate as E
 from msmae import model as M
 from msmae import tensor as T
 from msmae import training as TR
+from msmae.config import load_run_config, make_train_config
 from msmae.data import DataConfig, make_dataset
 from msmae.errors import ConfigError, ContractError, NumericError
 from msmae.evaluate import EvalConfig
+from msmae.masking import build_scales
 from msmae.rng import derive_rng
 
 # radii wide enough that most scale-1 and scale-2 tokens of tiny_records'
@@ -168,6 +170,65 @@ class TestAugment:
         keep = pts.copy()
         TR.augment(pts, np.random.default_rng(4))
         assert np.array_equal(pts, keep)
+
+    def test_is_a_similarity(self):
+        # train reuses each record's hierarchy for every augmented copy, which
+        # is exact only while one scale factor serves all three axes: a
+        # per-axis scale would move farthest points and nearest neighbours
+        pts = np.random.default_rng(5).normal(size=(64, 3))
+        for seed in range(20):
+            out = TR.augment(pts, np.random.default_rng(seed))
+            ratios = (out[1:] - out[0]) / (pts[1:] - pts[0])
+            assert np.allclose(ratios, ratios[0, 0], rtol=1e-9, atol=0.0), seed
+
+
+class TestHierarchyCache:
+    def counting_builds(self, monkeypatch):
+        calls = []
+
+        def counted(points, counts, ks):
+            calls.append(len(points))
+            return build(points, counts, ks)
+
+        build = M.build_scales
+        monkeypatch.setattr(M, "build_scales", counted)
+        return calls
+
+    def test_cache_matches_fresh_builds_of_augmented_desk_clouds(self, tmp_path):
+        rc = load_run_config(None)
+        tc = make_train_config(rc, str(tmp_path))
+        records = sorted(make_dataset(rc.data)[0], key=lambda r: r.id)
+        index = M.hierarchy_index(rc.model, [r.points for r in records])
+        assert index.picks[0].dtype == np.uint8  # desk clouds have 128 points
+        for epoch in range(3):
+            aug = np.stack([TR.augment(r.points, derive_rng(0, "augment", epoch, i), tc.scale_range,
+                                       tc.shift_range) for i, r in enumerate(records)])
+            fresh = build_scales(aug, list(rc.model.counts), list(rc.model.ks))
+            cached = index.on(aug)
+            for i in range(rc.model.num_scales):
+                assert np.array_equal(fresh.picks[i], index.picks[i]), (epoch, i)
+                assert np.array_equal(fresh.neighbor_index[i], index.neighbor_index[i]), (epoch, i)
+                assert fresh.neighbor_index[i].dtype == cached.neighbor_index[i].dtype
+                assert fresh.seeds[i].tobytes() == cached.seeds[i].tobytes(), (epoch, i)
+
+    def test_train_builds_hierarchies_once_per_run(self, tmp_path, monkeypatch):
+        calls = self.counting_builds(monkeypatch)
+        records = tiny_records(8)
+        for epochs in (1, 3):
+            calls.clear()
+            TR.train(M.Model.init(TINY, seed=0), records,
+                     TR.TrainConfig(epochs=epochs, batch_size=4, warmup_epochs=0, test_mode=True,
+                                    out_dir=str(tmp_path / str(epochs))))
+            assert calls == [8], epochs  # one stacked build of every record
+
+    def test_finetune_builds_hierarchies_once_per_run(self, monkeypatch):
+        calls = self.counting_builds(monkeypatch)
+        records = tiny_records(12)
+        for epochs in (1, 3):
+            calls.clear()
+            ec = EvalConfig(finetune_epochs=epochs, finetune_batch_size=4, finetune_warmup_epochs=0)
+            E.finetune(M.Model.init(TINY, seed=0), records[:8], records[8:], num_classes=2, ec=ec)
+            assert calls == [8, 4], epochs  # the train records once, then the validation features
 
 
 class TestSharedLoop:
