@@ -20,6 +20,7 @@ byte offset where reading failed.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import fields
@@ -107,7 +108,11 @@ class _Cursor:
 
     def string(self, what):
         n = self.unpack("H", f"{what} length")
-        return self.take(n, what).decode("utf-8")
+        start = self.off
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{self.path}: {what} is not UTF-8 at byte {start + e.start}") from None
 
 
 def _read_table(cur, what):
@@ -117,7 +122,7 @@ def _read_table(cur, what):
         name = cur.string(f"{what} record {i} name")
         rank = cur.unpack("B", f"{name} rank")
         shape = tuple(cur.unpack("I", f"{name} extent") for _ in range(rank))
-        n_items = int(np.prod(shape)) if shape else 1
+        n_items = math.prod(shape)  # exact: np.prod would wrap around on huge extents
         raw = cur.take(4 * n_items, f"{name} payload")
         out[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
     return out

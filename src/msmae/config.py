@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from importlib import resources
 
 from .codec import format_value, parse_value, text_fields
-from .data import DataConfig
+from .data import DataConfig, read_lines
 from .errors import ConfigError
 from .evaluate import EvalConfig
 from .model import ModelConfig
@@ -138,12 +138,7 @@ def load_run_config(config=None, overrides=()):
                 raise ConfigError(f"no such profile: {name}")
             text, origin = handle.read_text(), f"profile {name}"
         else:
-            try:
-                with open(config) as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise ConfigError(f"cannot read config {config}: {exc}") from exc
-            origin = str(config)
+            text, origin = "".join(read_lines(config, ConfigError)), str(config)
         _apply(_read_ini(text, origin), origin, values)
     for spec, raw in overrides:
         if "." not in spec:

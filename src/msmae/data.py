@@ -18,6 +18,7 @@ optional labels.tsv at the root.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import struct
 from dataclasses import dataclass
@@ -148,27 +149,37 @@ def save_xyz(path, points, comment=None):
             fh.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
 
 
+def read_lines(path, error=ParseError):
+    """The lines of the UTF-8 text file at path, as a text-mode open reads
+    them. A file that cannot be read or is not UTF-8 raises `error`,
+    naming the file, and the line and byte of the first undecodable byte."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        return io.StringIO(blob.decode("utf-8"), newline=None).readlines()
+    except OSError as e:
+        raise error(f"{path}: cannot read ({e.strerror})") from e
+    except UnicodeDecodeError as e:
+        line = blob.count(b"\n", 0, e.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text (byte {e.start})") from None
+
+
 def load_xyz(path):
     pts = []
-    try:
-        fh = open(path)
-    except OSError as e:
-        raise ParseError(f"{path}: cannot read ({e.strerror})") from e
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 values, found {len(parts)}")
-            try:
-                x, y, z = (float(p) for p in parts)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric coordinate in {body!r}") from None
-            if not all(np.isfinite((x, y, z))):
-                raise ParseError(f"{path}:{lineno}: non-finite coordinate")
-            pts.append((x, y, z))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split()
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 values, found {len(parts)}")
+        try:
+            x, y, z = (float(p) for p in parts)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric coordinate in {body!r}") from None
+        if not all(np.isfinite((x, y, z))):
+            raise ParseError(f"{path}:{lineno}: non-finite coordinate")
+        pts.append((x, y, z))
     if not pts:
         raise ParseError(f"{path}: no points found")
     return np.asarray(pts, dtype=np.float64)
@@ -225,21 +236,20 @@ def save_labels(path, mapping):
 
 def load_labels(path):
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.rstrip("\n")
-            if not body.strip():
-                continue
-            parts = body.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 'id<TAB>label'")
-            try:
-                label = int(parts[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: label {parts[1]!r} is not an integer") from None
-            if label < 0:
-                raise ParseError(f"{path}:{lineno}: label {label} is negative")
-            out[parts[0]] = label
+    for lineno, line in enumerate(read_lines(path), start=1):
+        body = line.rstrip("\n")
+        if not body.strip():
+            continue
+        parts = body.split("\t")
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 'id<TAB>label'")
+        try:
+            label = int(parts[1])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: label {parts[1]!r} is not an integer") from None
+        if label < 0:
+            raise ParseError(f"{path}:{lineno}: label {label} is negative")
+        out[parts[0]] = label
     return out
 
 

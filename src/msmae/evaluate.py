@@ -9,9 +9,9 @@ pooled global feature and trains it, optionally with the encoder, in
 pretraining's loop (training.batches, tape_gradients, apply_step). An
 end-to-end step trains the encoder_shapes parameters and the head, the
 ones the loss reaches, so the decoder leaves finetuning as it was. The
-train clouds' hierarchies are built once per run, HIERARCHY_CHUNK clouds
-at a time (model.hierarchy_index); a step puts its batch's picks and
-tables on the clouds, then runs FINETUNE_TAPE_CLOUDS (eight) clouds per
+train clouds' ScaleIndex is built once per run (model.hierarchy_index),
+as feature extraction builds its records'; a step puts its batch's picks
+and tables on the clouds, then runs FINETUNE_TAPE_CLOUDS (eight) clouds per
 tape, their token rows packed as in pretraining; more clouds per tape
 would hold more activations at once.
 EvalConfig holds the settings of all three: the run's [eval] section.
@@ -26,8 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError
-from .model import (HIERARCHY_CHUNK, encode_batch, encoder_shapes, hierarchy, hierarchy_index,
-                    init_params, pool_tokens)
+from .model import encode_batch, encoder_shapes, hierarchy, hierarchy_index, init_params, pool_tokens
 from .rng import derive_rng
 from .training import OptimizerState, Schedule, apply_step, batches, tape_gradients
 from .training import adamw_step  # kept: perfbench/tracing.py rebinds evaluate.adamw_step
@@ -131,16 +130,11 @@ def linear_probe(train_feats, train_labels, test_feats, test_labels,
 def extract_features(model, records):
     """Global feature per record, stacked (M, C_S); no masking, no tape.
 
-    Hierarchies are built for HIERARCHY_CHUNK consecutive records at a
-    time, then each record goes through Model.global_feature with its
-    prebuilt scales.
+    The records' ScaleIndex is built once (model.hierarchy_index), then
+    each record goes through Model.global_feature on its own.
     """
-    feats = []
-    for start in range(0, len(records), HIERARCHY_CHUNK):
-        part = records[start:start + HIERARCHY_CHUNK]
-        repr, _ = hierarchy(model.config, [r.points for r in part])
-        feats += [model.global_feature(r.points, repr[b]).data for b, r in enumerate(part)]
-    return np.stack(feats)
+    index = hierarchy_index(model.config, [r.points for r in records])
+    return np.stack([model.global_feature(r.points, index[b]).data for b, r in enumerate(records)])
 
 
 def sample_episode(labels, way, shot, seed, run, queries=20):

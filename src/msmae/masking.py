@@ -11,13 +11,15 @@ geometry hidden at finer scales.
 Scale lists are 0-indexed in code: scales[0] is the finest scale (scale 1
 in the hierarchy), scales[-1] the coarsest.
 
-A batch of clouds is one stack, not a list of per-cloud objects: every
-array of its MultiScaleRepr and MaskAssignment keeps a leading cloud axis,
-as geometry.fps and knn do. build_scales, back_project and independent_masks
-take one cloud or a stack, and on a stack equal one-cloud calls, cloud by cloud.
+build_index is the one build: every scale's farthest point picks and kNN
+tables, a ScaleIndex, which depends on geometry alone. ScaleIndex.on puts
+it on coordinates as a MultiScaleRepr; build_scales does both at once.
 
-A ScaleIndex is a hierarchy's picks and tables without coordinates:
-training builds it once per record and puts it on each step's points.
+A batch of clouds is one stack, not a list of per-cloud objects: every
+array of its ScaleIndex, MultiScaleRepr and MaskAssignment keeps a leading
+cloud axis, as geometry.fps and knn do. build_index, back_project and
+independent_masks take one cloud or a stack, and on a stack equal
+one-cloud calls, cloud by cloud.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ class MultiScaleRepr:
     input_points: np.ndarray
     seeds: list
     neighbor_index: list
-    picks: list = None  # from build_scales: seeds[i] is scale i-1's points at picks[i]
 
     @property
     def num_scales(self):
@@ -52,27 +53,20 @@ class MultiScaleRepr:
 
     def __getitem__(self, key):
         return MultiScaleRepr(self.input_points[key], [s[key] for s in self.seeds],
-                              [t[key] for t in self.neighbor_index],
-                              None if self.picks is None else [p[key] for p in self.picks])
+                              [t[key] for t in self.neighbor_index])
 
     __iter__ = None  # not a sequence: indexing alone would walk it until numpy's IndexError
-
-    def index(self):
-        """This hierarchy's ScaleIndex (it needs picks), in the narrowest
-        unsigned dtype that holds an index into the input points."""
-        dtype = np.min_scalar_type(self.input_points.shape[-2] - 1)
-        return ScaleIndex([p.astype(dtype) for p in self.picks],
-                          [t.astype(dtype) for t in self.neighbor_index])
 
 
 @dataclass
 class ScaleIndex:
-    """A hierarchy without coordinates: picks[i] and neighbor_index[i] of
-    a MultiScaleRepr, for one cloud or a stack, indexed as it is.
+    """A hierarchy without coordinates, for one cloud or a stack, indexed
+    as a MultiScaleRepr is: scale i's seeds are scale i-1's points at
+    picks[i], and neighbor_index[i] is its kNN table, both in the narrowest
+    unsigned dtype that holds a point index.
 
-    on(points) puts it back on coordinates: each scale's seeds are gathered
-    from the scale below, so they are copies of the input floats, the same
-    bits as a build that picks the same points.
+    on(points) puts it on coordinates: each scale's seeds are gathered
+    from the scale below, so they are copies of the input floats.
     """
 
     picks: list
@@ -89,7 +83,7 @@ class ScaleIndex:
         for p in self.picks:
             src = np.take_along_axis(src, p[..., None], axis=-2)
             seeds.append(src)
-        tables = [t.astype(np.intp) for t in self.neighbor_index]  # a build's dtype, safe for arithmetic
+        tables = [t.astype(np.intp) for t in self.neighbor_index]  # safe for index arithmetic
         return MultiScaleRepr(points, seeds, tables)
 
 
@@ -108,28 +102,34 @@ class MaskAssignment:
     __iter__ = None  # as in MultiScaleRepr
 
 
-def build_scales(points, counts, ks):
-    """Downsample-and-group chain producing the S-scale representation.
+def build_index(points, counts, ks):
+    """The downsample-and-group chain: farthest point sampling of counts[i]
+    seeds from the scale below and a k_i-NN table into it, at every scale.
 
-    points is one cloud (N, 3), which gives its MultiScaleRepr, or a stack
-    of clouds with a shared point count (B, N, 3), which gives the stack's,
+    points is one cloud (N, 3), which gives its ScaleIndex, or a stack of
+    clouds with a shared point count (B, N, 3), which gives the stack's,
     whose [b] equals a one-cloud call: every scale sorts the stacked clouds
     once (lex_order) and runs one fps and one knn over all of them.
     """
     pts = as_points(points, "points")
-    stack = pts.reshape(-1, *pts.shape[-2:])
-    seeds, tables, picks = [], [], []
-    src = stack
+    src = pts.reshape(-1, *pts.shape[-2:])
+    dtype = np.min_scalar_type(src.shape[1] - 1)
+    picks, tables = [], []
     for n_i, k_i in zip(counts, ks):
         order = lex_order(src)
         sel = fps(src, n_i, order=order)
         ctr = np.take_along_axis(src, sel[:, :, None], axis=1)
-        tables.append(knn(ctr, src, k_i, order=order))
-        seeds.append(ctr)
-        picks.append(sel)
+        tables.append(knn(ctr, src, k_i, order=order).astype(dtype))
+        picks.append(sel.astype(dtype))
         src = ctr
-    repr = MultiScaleRepr(stack, seeds, tables, picks)
-    return repr if pts.ndim == 3 else repr[0]
+    index = ScaleIndex(picks, tables)
+    return index if pts.ndim == 3 else index[0]
+
+
+def build_scales(points, counts, ks):
+    """MultiScaleRepr of one cloud or a stack: build_index put on its points."""
+    pts = as_points(points, "points")
+    return build_index(pts, counts, ks).on(pts)
 
 
 def sample_visible(n, mask_ratio, rng):

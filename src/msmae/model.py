@@ -15,17 +15,18 @@ through a 2C->C linear. The head reconstructs, for each masked
 second-scale token, its k_2 finest-scale neighbors as seed-relative
 offsets under a symmetric squared-l2 Chamfer loss.
 
-Batches: hierarchy builds the scales of a whole batch of clouds at once
-in numpy, one stacked farthest point sampling and one stacked kNN per
-scale over all clouds, then draws each cloud's mask with its own rng, into
-one stacked MultiScaleRepr and MaskAssignment (see masking). The *_batch
+Batches: hierarchy puts a whole batch of clouds on their ScaleIndex, which
+it builds, unless given one, with one stacked farthest point sampling and
+one stacked kNN per scale over all clouds (masking.build_index); then it
+draws each cloud's mask with its own rng, into one stacked MultiScaleRepr
+and MaskAssignment (see masking). The *_batch
 functions run those B clouds at once, their token rows packed as the
 np.nonzero of each scale's (B, N_i) visibility: cloud after cloud, by
 ascending seed position. So every linear layer, norm and MLP runs once
 over all rows. Attention stays within a cloud through a padded (B, n, n)
 layout (Padding), whose radius masks come from one stacked radius_mask.
-Training builds the hierarchies of its records once (hierarchy_index) and
-each step puts its batch's picks and tables on the step's clouds.
+Training and feature extraction build the ScaleIndex of their records
+once (hierarchy_index), and each step or cloud puts its own on its points.
 encode, decode and reconstruct are the B=1 case of the same code (repr[None]);
 a one-cloud pretraining loss is forward_pretrain_batch with one-element lists.
 
@@ -43,7 +44,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ContractError, InvariantError
 from .geometry import as_points, chamfer_sets, interpolate, radius_mask
-from .masking import (MaskAssignment, ScaleIndex, back_project, build_scales, independent_masks,
+from .masking import (MaskAssignment, ScaleIndex, back_project, build_index, independent_masks,
                       sample_visible)
 
 FFN_RATIO = 4  # hidden width of every feed-forward layer, in multiples of C
@@ -385,8 +386,8 @@ def hierarchy(config, clouds, rngs=None, index=None):
     """Scales and visibility masks of a batch of clouds, plain numpy.
 
     clouds is a (B, N, 3) stack or a list of B (N, 3) clouds; their scales
-    come from one stacked build_scales, or are put on the clouds from their
-    prebuilt ScaleIndex `index` (see hierarchy_index). rngs holds one
+    are their ScaleIndex `index` (see hierarchy_index) put on them, or,
+    without an index, one stacked build_index's. rngs holds one
     generator per cloud, each drawing only its own cloud's mask (draw_mask);
     without rngs every seed is visible. Returns the batch's
     (MultiScaleRepr, MaskAssignment), whose [b] is what a one-cloud call
@@ -395,7 +396,7 @@ def hierarchy(config, clouds, rngs=None, index=None):
     pts = as_points(clouds, "clouds")  # ContractError if ragged, empty or not finite
     if pts.ndim != 3 or pts.shape[1] < config.num_points:
         raise ContractError(f"clouds must be (B, >= {config.num_points}, 3), got {pts.shape}")
-    repr = build_scales(pts, list(config.counts), list(config.ks)) if index is None else index.on(pts)
+    repr = (build_index(pts, config.counts, config.ks) if index is None else index).on(pts)
     return repr, draw_mask(config, repr, rngs)
 
 
@@ -403,10 +404,9 @@ HIERARCHY_CHUNK = 128  # clouds whose hierarchies are built in one stacked call
 
 
 def hierarchy_index(config, clouds):
-    """ScaleIndex of a list of clouds: their hierarchy's picks and tables,
-    built HIERARCHY_CHUNK clouds at a time and kept without coordinates, in
-    the narrowest unsigned dtype that holds a point index."""
-    parts = [hierarchy(config, clouds[lo:lo + HIERARCHY_CHUNK])[0].index()
+    """ScaleIndex of a list of clouds, one stacked build_index per
+    HIERARCHY_CHUNK clouds; its [b] is cloud b's."""
+    parts = [build_index(clouds[lo:lo + HIERARCHY_CHUNK], config.counts, config.ks)
              for lo in range(0, len(clouds), HIERARCHY_CHUNK)]
     scales = range(config.num_scales)
     return ScaleIndex([np.concatenate([p.picks[i] for p in parts]) for i in scales],
@@ -453,16 +453,15 @@ def encode_batch(params, config, repr, assignment):
     return tokens
 
 
-def encode(params, config, points, rng=None, scales=None):
+def encode(params, config, points, rng=None, index=None):
     """Full encoder pass over one cloud, masked with rng (see draw_mask).
 
     Returns (tokens, repr, assignment): tokens[i] is the visible token set
-    of scale i+1, rows ordered by ascending seed position. scales, when
-    given, is the cloud's prebuilt MultiScaleRepr (one cloud of a stacked
-    hierarchy call), used in place of building it again.
+    of scale i+1, rows ordered by ascending seed position. index, when
+    given, is the cloud's one-cloud ScaleIndex (see hierarchy).
     """
-    repr = hierarchy(config, [points])[0] if scales is None else scales[None]
-    assignment = draw_mask(config, repr, None if rng is None else [rng])
+    repr, assignment = hierarchy(config, [points], None if rng is None else [rng],
+                                 None if index is None else index[None])
     return encode_batch(params, config, repr, assignment), repr[0], assignment[0]
 
 
@@ -571,12 +570,12 @@ def pool_tokens(top, B):
     return T.add(T.segment_max(top, B), T.segment_mean(top, B))
 
 
-def extract_global_feature(params, config, points, scales=None):
+def extract_global_feature(params, config, points, index=None):
     """Unmasked encoder pass over one cloud pooled to one vector (pool_tokens).
 
-    scales, when given, is the cloud's prebuilt MultiScaleRepr (see encode).
+    index, when given, is the cloud's one-cloud ScaleIndex (see encode).
     """
-    tokens, _, _ = encode(params, config, points, scales=scales)
+    tokens, _, _ = encode(params, config, points, index=index)
     top = tokens[-1]
     return T.reshape(pool_tokens(top, 1), (top.shape[-1],))
 
@@ -592,5 +591,5 @@ class Model:
     def init(cls, config, seed, dtype=np.float32):
         return cls(config, init_params(param_shapes(config), seed, dtype=dtype))
 
-    def global_feature(self, points, scales=None):
-        return extract_global_feature(self.params, self.config, points, scales)
+    def global_feature(self, points, index=None):
+        return extract_global_feature(self.params, self.config, points, index)

@@ -50,6 +50,12 @@ class TestPretrain:
         assert code == 2
         assert "nope.ini" in capsys.readouterr().err
 
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_bytes(b"[run]\nseed = 1\xff\n")
+        code = main(["pretrain", "--out", str(tmp_path / "x"), "--config", str(ini)])
+        assert f"{ini}:2: not UTF-8" in assert_one_error_line(code, capsys)
+
     def test_same_seed_identical_metrics(self, tmp_path):
         run_pretrain(tmp_path / "a")
         run_pretrain(tmp_path / "b")
@@ -428,6 +434,14 @@ class TestDatasetDirectory:
         code = main(self.probe_argv(root, tmp_path))
         self.assert_refused(code, capsys, f"labels.tsv:{line}:")
 
+    def test_undecodable_labels_refused(self, three_classes, tmp_path, capsys):
+        root = self.copy(three_classes, tmp_path)
+        lines = (root / "labels.tsv").read_bytes().split(b"\n")
+        lines[1] = b"\xff" + lines[1]
+        (root / "labels.tsv").write_bytes(b"\n".join(lines))
+        code = main(self.probe_argv(root, tmp_path))
+        self.assert_refused(code, capsys, "labels.tsv:2: not UTF-8")
+
     def test_empty_pcb_refused(self, three_classes, tmp_path, capsys):
         root = self.copy(three_classes, tmp_path)
         (root / "torus" / "empty.pcb").write_bytes(PCB_MAGIC + (0).to_bytes(4, "little"))
@@ -501,6 +515,13 @@ class TestInspectMask:
                      "--seed", "2"])
         assert code == 0
         assert "closure: OK" in capsys.readouterr().out
+
+    def test_pcb_under_another_extension_exits_2(self, tmp_path, capsys):
+        from msmae.data import save_pcb
+        path = tmp_path / "cloud.PCB"  # not .pcb, so read as .xyz text
+        save_pcb(path, shape("sphere", 128, seed=4))
+        code = main(["inspect-mask", "--input", str(path), "--out", str(tmp_path / "m")])
+        assert f"{path}:1: not UTF-8" in assert_one_error_line(code, capsys)
 
 
 def test_blas_thread_count_leaves_the_bytes(tmp_path):

@@ -334,3 +334,59 @@ class TestSplitHash:
         v = D.split_hash(7, "sphere-00000000")
         assert v == D.split_hash(7, "sphere-00000000")
         assert v != D.split_hash(8, "sphere-00000000")
+
+
+class TestReadersUnderMutation:
+    """Every file reader either loads a damaged file or raises ParseError.
+
+    Each case is a fixed-seed series of one-byte overwrites and truncations
+    of one valid file. Half the positions fall in the first 4 KiB, where a
+    checkpoint keeps its header and the names and extents of its first
+    records; the rest anywhere in the file.
+    """
+
+    CASES = 400
+    KINDS = ("pm2a", "pcb", "xyz", "tsv")
+
+    def files(self, kind, tmp_path):
+        from msmae.checkpoint import load_checkpoint, save_checkpoint
+        from msmae.config import load_run_config
+        from msmae.model import Model
+        rc = load_run_config(None)
+        recs = D.make_dataset(rc.data)[0]
+        path = tmp_path / f"valid.{kind}"
+        if kind == "pm2a":
+            save_checkpoint(path, rc.model, Model.init(rc.model, seed=0).params)
+            return path, load_checkpoint
+        if kind == "pcb":
+            D.save_pcb(path, recs[0].points)
+            return path, D.load_pcb
+        if kind == "xyz":
+            D.save_xyz(path, recs[0].points, comment="one desk cloud")
+            return path, D.load_xyz
+        D.save_labels(path, {r.id: r.label for r in recs})
+        return path, D.load_labels
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_loads_or_raises_parse_error(self, kind, tmp_path):
+        path, load = self.files(kind, tmp_path)
+        blob = path.read_bytes()
+        rng = np.random.default_rng(self.KINDS.index(kind))
+        damaged, escaped = tmp_path / f"damaged.{kind}", []
+        for case in range(self.CASES):
+            end = len(blob) if case % 2 else min(len(blob), 4096)
+            pos = int(rng.integers(0, end))
+            if case % 4 == 3:
+                damaged.write_bytes(blob[:pos])
+                what = f"truncated at byte {pos}"
+            else:
+                value = int(rng.integers(0, 256))
+                damaged.write_bytes(blob[:pos] + bytes([value]) + blob[pos + 1:])
+                what = f"byte {pos} set to {value}"
+            try:
+                load(damaged)
+            except ParseError:
+                pass
+            except Exception as exc:  # anything but ParseError is the failure
+                escaped.append(f"{what}: {type(exc).__name__}: {exc}")
+        assert not escaped, f"{len(escaped)} of {self.CASES} escaped: {escaped[:3]}"

@@ -70,6 +70,12 @@ class TestBuildScales:
         with pytest.raises(ContractError):
             M.build_scales([cloud(5, 50), cloud(6, 60)], [20, 5], [4, 3])
 
+    def test_index_takes_the_narrowest_unsigned_dtype(self):
+        for n, dtype in ((256, np.uint8), (257, np.uint16)):
+            index = M.build_index(cloud(7, n), [20, 5], [4, 3])
+            assert [p.dtype for p in index.picks + index.neighbor_index] == [dtype] * 4, n
+            assert M.build_scales(cloud(7, n), [20, 5], [4, 3]).neighbor_index[0].dtype == np.intp
+
 
 class TestSampleVisible:
     def test_exact_floor_count(self):

@@ -12,8 +12,9 @@ from msmae.config import load_run_config
 from msmae.data import DatasetRecord, make_records
 from msmae.errors import ConfigError, ContractError, InvariantError
 from msmae.geometry import radius_mask
-from msmae.evaluate import HIERARCHY_CHUNK, extract_features
+from msmae.evaluate import extract_features
 from msmae.masking import MaskAssignment, MultiScaleRepr, build_scales, verify_consistency
+from msmae.model import HIERARCHY_CHUNK
 
 SMALL = M.ModelConfig(num_points=128, counts=(64, 32, 8), dims=(32, 64, 128),
                       radii=(0.32, 0.64, 1.28), ks=(16, 8, 8),
@@ -504,6 +505,35 @@ class TestCheckpoints:
         with pytest.raises(ParseError) as exc:
             load_checkpoint(path)
         assert "byte" in str(exc.value)
+
+    def first_record(self, tmp_path):
+        """A SMALL checkpoint's path and bytes, and the byte offset of its
+        first record's name (embed.mlp1.w0, rank 2)."""
+        from msmae.checkpoint import save_checkpoint
+        path = tmp_path / "model.pm2a"
+        save_checkpoint(path, SMALL, M.Model.init(SMALL, seed=0).params)
+        blob = path.read_bytes()
+        return path, blob, 10 + int.from_bytes(blob[6:10], "little") + 4 + 2
+
+    def test_huge_extents_name_the_truncation_offset(self, tmp_path):
+        from msmae.checkpoint import load_checkpoint
+        from msmae.errors import ParseError
+        path, blob, name = self.first_record(tmp_path)
+        rank = name + len(b"embed.mlp1.w0")
+        # three extents of 2**31: 2**93 items, which an int64 product wraps to 0
+        path.write_bytes(blob[:rank] + bytes([3]) + (2 ** 31).to_bytes(4, "little") * 3 + blob[rank + 9:])
+        with pytest.raises(ParseError) as exc:
+            load_checkpoint(path)
+        assert f"embed.mlp1.w0 payload at byte {rank + 13}" in str(exc.value)
+
+    def test_undecodable_name_names_offset(self, tmp_path):
+        from msmae.checkpoint import load_checkpoint
+        from msmae.errors import ParseError
+        path, blob, name = self.first_record(tmp_path)
+        path.write_bytes(blob[:name + 3] + b"\xff" + blob[name + 4:])
+        with pytest.raises(ParseError) as exc:
+            load_checkpoint(path)
+        assert f"parameter record 0 name is not UTF-8 at byte {name + 3}" in str(exc.value)
 
     def test_header_truncation_names_field_offset(self, tmp_path):
         from msmae.checkpoint import load_checkpoint, save_checkpoint

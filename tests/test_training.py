@@ -18,7 +18,7 @@ from msmae.config import load_run_config, make_train_config
 from msmae.data import DataConfig, make_dataset
 from msmae.errors import ConfigError, ContractError, NumericError
 from msmae.evaluate import EvalConfig
-from msmae.masking import build_scales
+from msmae.masking import build_index
 from msmae.rng import derive_rng
 
 # radii wide enough that most scale-1 and scale-2 tokens of tiny_records'
@@ -190,8 +190,8 @@ class TestHierarchyCache:
             calls.append(len(points))
             return build(points, counts, ks)
 
-        build = M.build_scales
-        monkeypatch.setattr(M, "build_scales", counted)
+        build = M.build_index
+        monkeypatch.setattr(M, "build_index", counted)
         return calls
 
     def test_cache_matches_fresh_builds_of_augmented_desk_clouds(self, tmp_path):
@@ -199,17 +199,14 @@ class TestHierarchyCache:
         tc = make_train_config(rc, str(tmp_path))
         records = sorted(make_dataset(rc.data)[0], key=lambda r: r.id)
         index = M.hierarchy_index(rc.model, [r.points for r in records])
-        assert index.picks[0].dtype == np.uint8  # desk clouds have 128 points
         for epoch in range(3):
             aug = np.stack([TR.augment(r.points, derive_rng(0, "augment", epoch, i), tc.scale_range,
                                        tc.shift_range) for i, r in enumerate(records)])
-            fresh = build_scales(aug, list(rc.model.counts), list(rc.model.ks))
-            cached = index.on(aug)
+            fresh = build_index(aug, rc.model.counts, rc.model.ks)
             for i in range(rc.model.num_scales):
                 assert np.array_equal(fresh.picks[i], index.picks[i]), (epoch, i)
                 assert np.array_equal(fresh.neighbor_index[i], index.neighbor_index[i]), (epoch, i)
-                assert fresh.neighbor_index[i].dtype == cached.neighbor_index[i].dtype
-                assert fresh.seeds[i].tobytes() == cached.seeds[i].tobytes(), (epoch, i)
+                assert fresh.picks[i].dtype == index.picks[i].dtype == np.uint8  # 128 points
 
     def test_train_builds_hierarchies_once_per_run(self, tmp_path, monkeypatch):
         calls = self.counting_builds(monkeypatch)
@@ -229,6 +226,13 @@ class TestHierarchyCache:
             ec = EvalConfig(finetune_epochs=epochs, finetune_batch_size=4, finetune_warmup_epochs=0)
             E.finetune(M.Model.init(TINY, seed=0), records[:8], records[8:], num_classes=2, ec=ec)
             assert calls == [8, 4], epochs  # the train records once, then the validation features
+
+    def test_extract_features_builds_each_chunk_once(self, monkeypatch):
+        calls = self.counting_builds(monkeypatch)
+        records = tiny_records(M.HIERARCHY_CHUNK + 3)
+        feats = E.extract_features(M.Model.init(TINY, seed=0), records)
+        assert feats.shape == (M.HIERARCHY_CHUNK + 3, TINY.dims[-1])
+        assert calls == [M.HIERARCHY_CHUNK, 3]
 
 
 class TestSharedLoop:
