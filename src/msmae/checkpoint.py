@@ -65,8 +65,8 @@ def model_text(config):
 def parse_model_text(raw, path="model text", start=0):
     """ModelConfig from config text bytes found at byte `start` of `path`.
 
-    A malformed line raises ParseError naming the byte it starts at. Keys
-    a text leaves out keep their ModelConfig defaults.
+    Each ModelConfig key appears exactly once: a malformed, repeated or
+    missing line raises ParseError naming the key or a byte offset.
     """
     defaults = {f.name: f.default for f in fields(ModelConfig)}
     values, off = {}, start
@@ -75,10 +75,15 @@ def parse_model_text(raw, path="model text", start=0):
             key, _, value = line.decode("utf-8").partition("=")
             if key not in defaults:
                 raise ConfigError(f"unknown model config key {key!r}")
+            if key in values:
+                raise ConfigError(f"repeated model config key {key!r}")
             values[key] = parse_value(value, defaults[key])
         except (UnicodeDecodeError, ConfigError) as exc:
             raise ParseError(f"{path}: bad config line at byte {off}: {exc}") from None
         off += len(line) + 1
+    missing = [key for key in defaults if key not in values]
+    if missing:
+        raise ParseError(f"{path}: config text at byte {start} has no line for {missing}")
     try:
         return ModelConfig(**values).validate()
     except ConfigError as exc:

@@ -31,7 +31,7 @@ def _log(msg):
 
 
 def _collect_overrides(pairs):
-    """Turn leftover argv like ['--model.heads', '4'] into override tuples."""
+    """Turn leftover argv like ['--model.heads', '4', '--model.dims=8,16'] into override tuples."""
     out = []
     i = 0
     while i < len(pairs):
@@ -60,13 +60,13 @@ def _run_config(args, rest):
         raise ConfigError(f"seed must be >= 0, got {rc.seed}")
     if getattr(args, "test_mode", False):
         rc.test_mode = True
-    if args.out:  # before any work: --out's nearest existing ancestor must be a writable directory
-        base = os.path.abspath(args.out)
-        while not os.path.exists(base):
-            base = os.path.dirname(base)
-        if not (os.path.isdir(base) and os.access(base, os.W_OK)):
-            raise ConfigError(f"cannot create output directory {args.out}: "
-                              f"{base} is not a writable directory")
+    # before any work: --out's nearest existing ancestor must be a writable directory
+    base = os.path.abspath(args.out)
+    while not os.path.exists(base):
+        base = os.path.dirname(base)
+    if not (os.path.isdir(base) and os.access(base, os.W_OK)):
+        raise ConfigError(f"cannot create output directory {args.out}: "
+                          f"{base} is not a writable directory")
     return rc
 
 
@@ -103,14 +103,6 @@ def _summary_row(out_dir, command, rc, metric, extra=""):
         writer.writerow([command, config_digest(rc), rc.seed, f"{metric:.6f}", extra])
 
 
-def _eval_out_dir(args):
-    if args.out:
-        return args.out
-    if args.checkpoint:
-        return os.path.dirname(os.path.abspath(args.checkpoint))
-    return "."
-
-
 def cmd_pretrain(args, rest):
     rc = _run_config(args, rest)
     train_recs, val_recs = make_dataset(rc.data)
@@ -141,7 +133,7 @@ def cmd_probe(args, rest):
     blob = res.as_dict()
     blob["config_digest"] = config_digest(rc)
     print(json.dumps(blob))
-    _summary_row(_eval_out_dir(args), "probe", rc, res.accuracy,
+    _summary_row(args.out, "probe", rc, res.accuracy,
                  "random-init" if args.random_init else "pretrained")
     return 0
 
@@ -158,8 +150,7 @@ def cmd_fewshot(args, rest):
                         lr=e.probe_lr, weight_decay=e.probe_weight_decay)
     out["config_digest"] = config_digest(rc)
     print(json.dumps(out))
-    _summary_row(_eval_out_dir(args), "fewshot", rc, out["mean"],
-                 f"std={out['std']:.6f}")
+    _summary_row(args.out, "fewshot", rc, out["mean"], f"std={out['std']:.6f}")
     return 0
 
 
@@ -227,22 +218,21 @@ def _build_parser():
         description="Multi-scale masked autoencoding for point clouds")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=False):
+    def common(p):
         p.add_argument("--config", default=None,
                        help="profile name (desk, paper) or INI path")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--test-mode", action="store_true", dest="test_mode",
                        help="zero timing fields so outputs diff clean")
-        p.add_argument("--out", required=out_required, default=None,
-                       help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("pretrain", help="self-supervised reconstruction training")
-    common(p, out_required=True)
+    common(p)
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.set_defaults(fn=cmd_pretrain)
 
-    def eval_common(p, out_required=False):
-        common(p, out_required)
+    def eval_common(p):
+        common(p)
         p.add_argument("--checkpoint", default=None)
         p.add_argument("--random-init", action="store_true", dest="random_init",
                        help="evaluate a freshly initialized encoder instead")
@@ -256,7 +246,7 @@ def _build_parser():
     p.set_defaults(fn=cmd_fewshot)
 
     p = sub.add_parser("finetune", help="train a classification head (optionally end-to-end)")
-    eval_common(p, out_required=True)
+    eval_common(p)
     p.set_defaults(fn=cmd_finetune)
 
     p = sub.add_parser("gen-data", help="write the run's synthetic clouds as a PCB dataset directory")
@@ -265,7 +255,7 @@ def _build_parser():
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("inspect-mask", help="export per-scale visible/masked point sets")
-    common(p, out_required=True)
+    common(p)
     p.add_argument("--input", required=True, help=".xyz or .pcb point cloud")
     p.set_defaults(fn=cmd_inspect_mask)
     return parser

@@ -235,7 +235,7 @@ def save_labels(path, mapping):
 
 
 def load_labels(path):
-    out = {}
+    out, first = {}, {}  # id -> label, id -> the line that gave it
     for lineno, line in enumerate(read_lines(path), start=1):
         body = line.rstrip("\n")
         if not body.strip():
@@ -249,7 +249,9 @@ def load_labels(path):
             raise ParseError(f"{path}:{lineno}: label {parts[1]!r} is not an integer") from None
         if label < 0:
             raise ParseError(f"{path}:{lineno}: label {label} is negative")
-        out[parts[0]] = label
+        if parts[0] in first:
+            raise ParseError(f"{path}:{lineno}: id {parts[0]!r} repeats line {first[parts[0]]}")
+        out[parts[0]], first[parts[0]] = label, lineno
     return out
 
 

@@ -74,16 +74,11 @@ def pairwise_sq_dists(a, b):
     return d
 
 
-def _sq_norm(diff):
-    """Sum of squares over the last axis, fixed x + y + z order."""
-    return diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2
-
-
-def _sq_planes(diff):
-    """Sum of squares over the first axis of (3, ...) coordinate planes,
+def _sq_norm(diff, axis):
+    """Sum of squares over the length-3 coordinate axis of diff, in the
     fixed x + y + z order."""
-    sq = np.square(diff)
-    return sq[0] + sq[1] + sq[2]
+    x, y, z = np.rollaxis(diff, axis)
+    return np.square(x) + np.square(y) + np.square(z)
 
 
 def _lex_sorted(stack, order):
@@ -112,7 +107,7 @@ def fps(xyz, m, order=None):
     grid = np.ascontiguousarray(srt.transpose(2, 0, 1))  # coordinate planes (3, B, n)
     points = grid.reshape(3, B * n, 1)  # the same, clouds end to end
     # the centroid sums points in input order, so its bits match a plain mean
-    score = _sq_planes(grid - stack.mean(axis=1).T[:, :, None])
+    score = _sq_norm(grid - stack.mean(axis=1).T[:, :, None], 0)
     offsets = np.arange(B) * n
     # picks as positions into the sorted clouds, end to end; argmax takes the
     # first maximum, which in sorted order is the smallest (x, y, z, index)
@@ -120,7 +115,7 @@ def fps(xyz, m, order=None):
     sel[:, 0] = cur = score.argmax(axis=1) + offsets
     dmin = np.full((B, n), np.inf)
     for i in range(1, m):
-        np.minimum(dmin, _sq_planes(grid - points[:, cur]), out=dmin)
+        np.minimum(dmin, _sq_norm(grid - points[:, cur], 0), out=dmin)
         dmin.reshape(-1)[cur] = -1.0  # selected points never re-qualify
         sel[:, i] = cur = dmin.argmax(axis=1) + offsets
     return order.reshape(-1)[sel].reshape(pts.shape[:-2] + (m,))
@@ -201,7 +196,7 @@ def interp_weights(fine_xyz, coarse_xyz, k=3, eps=1e-8):
     coarse = as_points(coarse_xyz, "coarse_xyz")
     idx = knn(fine, coarse, k)
     near = np.take_along_axis(coarse[..., None, :, :], idx[..., None], axis=-2)
-    w = 1.0 / (_sq_norm(fine[..., :, None, :] - near) + eps)
+    w = 1.0 / (_sq_norm(fine[..., :, None, :] - near, -1) + eps)
     w = w / w.sum(axis=-1, keepdims=True)
     return idx, w
 
@@ -278,7 +273,7 @@ def chamfer_sets(pred, target):
     if k == 0 or k2 == 0:
         raise ContractError("chamfer_sets with an empty set")
     diff = P[:, :, None, :] - Tt[:, None, :, :]
-    d = _sq_norm(diff)  # (M, k, k2)
+    d = _sq_norm(diff, -1)  # (M, k, k2)
     i1 = d.argmin(axis=2)  # nearest target per pred point
     i2 = d.argmin(axis=1)  # nearest pred point per target
     t1 = np.take_along_axis(d, i1[:, :, None], axis=2)[:, :, 0].mean(axis=1)

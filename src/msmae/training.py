@@ -273,9 +273,9 @@ def train(model, records, tc, resume=None, snapshot=None):
     their hierarchies are built once, before the first step. A
     non-finite batch loss aborts with the failing step in the message.
     On resume, metrics lines of the steps the run redoes are dropped
-    before new ones are written, and a checkpoint whose run digest
-    (_run_digest) differs from this run's is refused: it cannot continue
-    exactly. A refused resume writes nothing.
+    before new ones are written, and a checkpoint that does not carry this
+    run's digest (_run_digest), because it has none or another, is
+    refused: it cannot continue exactly. A refused resume writes nothing.
     """
     tc.validate()
     records = sorted(records, key=lambda r: r.id)
@@ -291,10 +291,11 @@ def train(model, records, tc, resume=None, snapshot=None):
         config, params, packed, aux = load_checkpoint(resume)
         if config != model.config:
             raise ConfigError(f"checkpoint config in {resume} differs from the active config")
-        if "run.digest" in (aux or {}) and not np.array_equal(aux["run.digest"], digest):
-            raise ConfigError(f"{resume} comes from a run with other training settings or records")
         if packed is None:
             raise ConfigError(f"{resume} has no optimizer state; cannot resume training")
+        if not np.array_equal((aux or {}).get("run.digest"), digest):
+            raise ConfigError(f"{resume} has no run digest, or comes from a run with other "
+                              "training settings or records")
         for n, p in model.params.items():
             p.data = params[n].data
         opt.m, opt.v, opt.step = packed["m"], packed["v"], int(packed["step"])

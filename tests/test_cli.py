@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from msmae import cli
-from msmae.checkpoint import load_checkpoint
+from msmae.checkpoint import load_checkpoint, save_checkpoint
 from msmae.cli import main
 from msmae.config import _KEYS, load_run_config
 from msmae.data import PCB_MAGIC, DataConfig, load_pcb, make_records, save_xyz
@@ -92,6 +92,27 @@ class TestPretrain:
         assert code == 2
         assert "other training settings" in capsys.readouterr().err
         assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+        config, params, packed, _ = load_checkpoint(out / "checkpoint_epoch0001.pm2a")
+        save_checkpoint(tmp_path / "no-digest.pm2a", config, params, optimizer=packed)
+        code = run_pretrain(out, extra=[*two_epochs, "--resume", str(tmp_path / "no-digest.pm2a")])
+        assert code == 2
+        assert "has no run digest" in capsys.readouterr().err
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+    @pytest.mark.parametrize("spellings", [
+        (["--seed", "3"], ["--run.seed", "3"]),
+        (["--seed", "3", "--run.seed", "5"], ["--run.seed", "3"]),  # the flag wins
+        (["--training.epochs", "2"], ["--training.epochs=2"]),
+    ], ids=lambda pair: " vs ".join(" ".join(argv) for argv in pair))
+    def test_spellings_of_a_key_resolve_alike(self, tmp_path, capsys, spellings):
+        seen = []
+        for i, argv in enumerate(spellings):
+            out = tmp_path / str(i)
+            assert main(["pretrain", "--out", str(out), "--test-mode", *TINY_DATA, *TINY_TRAIN,
+                         *argv]) == 0
+            seen.append((json.loads(capsys.readouterr().out)["config_digest"],
+                         (out / "config.ini").read_bytes()))
+        assert seen[0] == seen[1]
 
     def test_unknown_override_rejected(self, tmp_path, capsys):
         code = main(["pretrain", "--out", str(tmp_path / "x"), "--model.wings", "2"])
@@ -283,12 +304,14 @@ class TestEvalRuns:
 
     def test_finetune_states_the_checkpoints_model_and_keeps_its_run(self, trained, heads8,
                                                                       tmp_path, capsys):
-        snapshot = (heads8 / "config.ini").read_bytes()
+        run_files = lambda: {f.name: f.read_bytes() for f in heads8.iterdir()}
+        snapshot = run_files()
         ckpt = str(heads8 / "checkpoint_final.pm2a")
-        with pytest.raises(SystemExit) as exc:  # --out is required
-            main(["finetune", "--checkpoint", ckpt, *FINETUNE_TINY])
-        assert exc.value.code == 2
-        assert (heads8 / "config.ini").read_bytes() == snapshot
+        for command in ("probe", "fewshot", "finetune"):
+            with pytest.raises(SystemExit) as exc:  # --out is required
+                main([command, "--checkpoint", ckpt, *FINETUNE_TINY])
+            assert exc.value.code == 2
+        assert run_files() == snapshot
         capsys.readouterr()
         digests = []
         for name, checkpoint in (("ft8", ckpt), ("ft4", str(trained))):
@@ -297,7 +320,7 @@ class TestEvalRuns:
             digests.append(json.loads(capsys.readouterr().out)["config_digest"])
         assert digests[0] != digests[1]
         assert load_run_config(tmp_path / "ft8" / "config.ini").model.heads == 8
-        assert (heads8 / "config.ini").read_bytes() == snapshot
+        assert run_files() == snapshot
 
     @pytest.mark.parametrize("command", ["probe", "fewshot"])
     def test_digest_names_the_checkpoints_model(self, heads8, tmp_path, capsys, command):

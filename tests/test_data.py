@@ -205,6 +205,12 @@ class TestLabels:
         with pytest.raises(ParseError, match=r"labels\.tsv:3: label -1 is negative"):
             D.load_labels(path)
 
+    def test_repeated_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        path.write_text("a\t0\nb\t1\n\na\t2\n")
+        with pytest.raises(ParseError, match=r"labels\.tsv:4: id 'a' repeats line 1"):
+            D.load_labels(path)
+
 
 class TestResample:
     def test_upsample_with_replacement(self):

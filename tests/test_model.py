@@ -25,14 +25,18 @@ def cloud(seed, n=128, spread=0.6):
     return np.random.default_rng(seed).normal(size=(n, 3)) * spread
 
 
-def set_config_line(path, key, value):
-    """Rewrite the `key=` line of a checkpoint's config text to `key=value`."""
+def edit_config_text(path, edit):
+    """Replace the lines of a checkpoint's config text with edit(lines)."""
     blob = path.read_bytes()
     size = int.from_bytes(blob[6:10], "little")
-    lines = [key + b"=" + value if line.startswith(key + b"=") else line
-             for line in blob[10:10 + size].split(b"\n")]
-    text = b"\n".join(lines)
+    text = b"\n".join(edit(blob[10:10 + size].split(b"\n")))
     path.write_bytes(blob[:6] + len(text).to_bytes(4, "little") + text + blob[10 + size:])
+
+
+def set_config_line(path, key, value):
+    """Rewrite the `key=` line of a checkpoint's config text to `key=value`."""
+    edit_config_text(path, lambda lines: [key + b"=" + value if line.startswith(key + b"=")
+                                          else line for line in lines])
 
 
 class TestConfig:
@@ -575,6 +579,29 @@ class TestCheckpoints:
         with pytest.raises(ParseError) as exc:
             load_checkpoint(path)
         assert f"byte {path.read_bytes().index(b'heads=x')}" in str(exc.value)
+
+    def test_missing_config_key_named(self, tmp_path):
+        # a default would quietly turn local attention back on
+        from msmae.checkpoint import load_checkpoint, save_checkpoint
+        from msmae.errors import ParseError
+        path = tmp_path / "model.pm2a"
+        cfg = dataclasses.replace(SMALL, local_attention=False)
+        save_checkpoint(path, cfg, M.Model.init(cfg, seed=0).params)
+        edit_config_text(path, lambda lines: [line for line in lines
+                                              if not line.startswith(b"local_attention=")])
+        with pytest.raises(ParseError, match=r"byte 10 has no line for \['local_attention'\]"):
+            load_checkpoint(path)
+
+    def test_repeated_config_key_named(self, tmp_path):
+        from msmae.checkpoint import load_checkpoint, save_checkpoint
+        from msmae.errors import ParseError
+        path = tmp_path / "model.pm2a"
+        save_checkpoint(path, SMALL, M.Model.init(SMALL, seed=0).params)
+        edit_config_text(path, lambda lines: [*lines, b"heads=4"])
+        with pytest.raises(ParseError) as exc:
+            load_checkpoint(path)
+        at = path.read_bytes().rindex(b"heads=4")
+        assert f"byte {at}: repeated model config key 'heads'" in str(exc.value)
 
     def test_lowercase_bools_in_config_text(self, tmp_path):
         from msmae.checkpoint import load_checkpoint, save_checkpoint

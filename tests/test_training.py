@@ -497,12 +497,19 @@ TR.train(M.Model.init(TINY, seed=0), tiny_records(12), tc, resume={str(ckpt)!r})
                  self.make_tc(tmp_path / "c", epochs=2, test_mode=False), resume=ckpt)
         final = "checkpoint_final.pm2a"
         assert (tmp_path / "c" / final).read_bytes() == (tmp_path / "a" / final).read_bytes()
-        # a checkpoint written without the digest record still resumes
+        # without the digest record, a run cannot tell its settings and clouds are the same
         config, params, packed, aux = load_checkpoint(ckpt)
         assert set(aux) == {"run.digest"}
         save_checkpoint(tmp_path / "old.pm2a", config, params, optimizer=packed)
-        TR.train(M.Model.init(TINY, seed=0), records,
-                 self.make_tc(tmp_path / "d", epochs=2, base_lr=0.5), resume=tmp_path / "old.pm2a")
+        with pytest.raises(ConfigError, match="has no run digest"):
+            TR.train(M.Model.init(TINY, seed=0), records,
+                     self.make_tc(tmp_path / "d", epochs=2), resume=tmp_path / "old.pm2a")
+        # a file without optimizer state says so first, digest or not
+        save_checkpoint(tmp_path / "head.pm2a", config, params, aux={"head.b": np.zeros(3, np.float32)})
+        with pytest.raises(ConfigError, match="has no optimizer state"):
+            TR.train(M.Model.init(TINY, seed=0), records,
+                     self.make_tc(tmp_path / "d", epochs=2), resume=tmp_path / "head.pm2a")
+        assert not (tmp_path / "d").exists()
 
     def test_augmentation_changes_losses_not_determinism(self, tmp_path):
         records = tiny_records(8)
