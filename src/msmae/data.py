@@ -235,7 +235,8 @@ def save_labels(path, mapping):
 
 
 def load_labels(path):
-    out, first = {}, {}  # id -> label, id -> the line that gave it
+    """({id: label}, {id: the line that gave it}) of a labels.tsv file."""
+    out, first = {}, {}
     for lineno, line in enumerate(read_lines(path), start=1):
         body = line.rstrip("\n")
         if not body.strip():
@@ -252,7 +253,7 @@ def load_labels(path):
         if parts[0] in first:
             raise ParseError(f"{path}:{lineno}: id {parts[0]!r} repeats line {first[parts[0]]}")
         out[parts[0]], first[parts[0]] = label, lineno
-    return out
+    return out, first
 
 
 def resample(points, count, rng):
@@ -291,7 +292,7 @@ def load_dataset_dir(root):
     if not classes:
         raise ConfigError(f"dataset directory {root} has no class subdirectories")
     sidecar = os.path.join(root, "labels.tsv")
-    mapping = load_labels(sidecar) if os.path.isfile(sidecar) else None
+    mapping, lines = load_labels(sidecar) if os.path.isfile(sidecar) else (None, {})
     records = []
     for label, cls in enumerate(classes):
         files = sorted(f for f in os.listdir(os.path.join(root, cls)) if f.endswith(".pcb"))
@@ -308,6 +309,10 @@ def load_dataset_dir(root):
             records.append(DatasetRecord(
                 points=load_pcb(os.path.join(root, cls, f)).astype(np.float64),
                 label=lab, id=key))
+    orphans = lines.keys() - {r.id for r in records}
+    if orphans:
+        key = min(orphans, key=lines.get)
+        raise ParseError(f"{sidecar}:{lines[key]}: id {key!r} names no .pcb file")
     return records
 
 

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, NumericError
 from .model import encode_batch, encoder_shapes, hierarchy, hierarchy_index, init_params, pool_tokens
 from .rng import derive_rng
 from .training import OptimizerState, Schedule, apply_step, batches, tape_gradients
@@ -98,7 +98,8 @@ def linear_probe(train_feats, train_labels, test_feats, test_labels,
 
     Zero-initialized, full-batch gradient descent, weight decay on the
     weight matrix but not the bias row. Deterministic: two calls with the
-    same arrays give the same result bit for bit.
+    same arrays give the same result bit for bit. Weights that stop being
+    finite raise NumericError, naming the iteration.
     """
     Xtr = np.asarray(train_feats, dtype=np.float64)
     Xte = np.asarray(test_feats, dtype=np.float64)
@@ -120,10 +121,12 @@ def linear_probe(train_feats, train_labels, test_feats, test_labels,
     onehot = np.zeros((m, k))
     onehot[np.arange(m), ytr] = 1.0
     W = np.zeros((Xtr.shape[1], k))
-    for _ in range(iters):
+    for it in range(1, iters + 1):
         G = Xtr.T @ (_softmax(Xtr @ W) - onehot) / m
         G[:-1] += weight_decay * W[:-1]
         W -= lr * G
+        if not np.isfinite(W).all():
+            raise NumericError(f"linear probe diverged: non-finite weights at iteration {it} of {iters}")
     return _score(yte, (Xte @ W).argmax(axis=1), k, m)
 
 
@@ -204,7 +207,7 @@ def head_forward(head, feats):
     return T.linear(h, head["head.w2"], head["head.b2"])
 
 
-FINETUNE_TAPE_CLOUDS = 8  # clouds per tape in a finetune step; a desk run peaks at about 62 MiB RSS
+FINETUNE_TAPE_CLOUDS = 8  # clouds per tape in a finetune step; a desk run peaks at about 59 MiB RSS
 
 
 def finetune(model, train_records, val_records, num_classes, ec, seed=0):

@@ -23,8 +23,12 @@ and MaskAssignment (see masking). The *_batch
 functions run those B clouds at once, their token rows packed as the
 np.nonzero of each scale's (B, N_i) visibility: cloud after cloud, by
 ascending seed position. So every linear layer, norm and MLP runs once
-over all rows. Attention stays within a cloud through a padded (B, n, n)
-layout (Padding), whose radius masks come from one stacked radius_mask.
+over all rows. The embedding and the merges run their MLP over each
+token's k neighbours before max-pooling them, and pack those rows
+neighbour-major: row j*n + i holds neighbour j of the scale's packed
+token i, the block layout tensor.segment_max pools. Attention stays
+within a cloud through a padded (B, n, n) layout (Padding), whose radius
+masks come from one stacked radius_mask.
 Training and feature extraction build the ScaleIndex of their records
 once (hierarchy_index), and each step or cloud puts its own on its points.
 encode, decode and reconstruct are the B=1 case of the same code (repr[None]);
@@ -231,8 +235,8 @@ def _lin(params, prefix, x, suffix=""):
 
 
 def _mlp2(params, prefix, x):
-    """w0 -> gelu -> w1, the shape every small MLP here takes."""
-    return _lin(params, prefix, T.gelu(_lin(params, prefix, x, "0")), "1")
+    """w0 -> gelu -> w1, the shape every small MLP here takes (tensor.mlp)."""
+    return T.mlp(x, *(params[f"{prefix}.{name}"] for name in ("w0", "b0", "w1", "b1")))
 
 
 def _pos_encoding(params, prefix, coords, dtype):
@@ -341,13 +345,15 @@ def embed_tokens(params, config, repr, assignment):
 
     Neighbor coordinates are re-centered on their seed, so the embedding is
     translation invariant; max-pool over the k_1 neighbors makes it
-    neighbor-order invariant. Rows of all clouds are packed in cloud order.
+    neighbor-order invariant. Tokens of all clouds are packed in cloud order;
+    the per-point rows are neighbour-major, row j*n + i holding neighbour j
+    of token i, the layout segment_max pools.
     """
     b, idx = np.nonzero(assignment.visible[0])
-    groups = repr.input_points[b[:, None], repr.neighbor_index[0][b, idx]]  # (n, k, 3)
-    rel = (groups - repr.seeds[0][b, idx][:, None, :]).astype(params["embed.mlp1.w0"].dtype)
-    n, k, _ = rel.shape
-    per_point = _mlp2(params, "embed.mlp1", T.tensor(rel.reshape(n * k, 3)))
+    neigh = repr.neighbor_index[0][b, idx].T  # (k, n)
+    rel = (repr.input_points[b, neigh] - repr.seeds[0][b, idx]).astype(params["embed.mlp1.w0"].dtype)
+    k, n, _ = rel.shape
+    per_point = _mlp2(params, "embed.mlp1", T.tensor(rel.reshape(k * n, 3)))
     pooled = T.segment_max(per_point, n)
     return _mlp2(params, "embed.mlp2", pooled)
 
@@ -361,6 +367,7 @@ def merge_tokens(params, config, repr, assignment, scale, feats):
     and max-pools. Back-projected masks keep every neighbor visible; under
     independent masks (the ablation) a hidden neighbor repeats the row's
     first visible one, so the max-pool runs over the visible neighbors.
+    Like embed_tokens' rows, the pooled rows are neighbour-major.
     """
     i = scale - 1  # 0-based target scale index
     vis_below = assignment.visible[i - 1]
@@ -371,13 +378,13 @@ def merge_tokens(params, config, repr, assignment, scale, feats):
     seen = vis_below[cloud, neigh]
     if not seen.any(axis=1).all():
         raise InvariantError(f"merge at scale {scale}: a visible seed has no visible neighbor token")
-    neigh = np.where(seen, neigh, neigh[np.arange(idx.size), seen.argmax(axis=1)][:, None])
-    rows = below_pos[cloud, neigh]
-    rel = repr.seeds[i - 1][cloud, neigh] - repr.seeds[i][b, idx][:, None, :]
-    n, k = rows.shape
-    gathered = T.gather(feats, rows)  # (n, k, C)
+    neigh = np.where(seen, neigh, neigh[np.arange(idx.size), seen.argmax(axis=1)][:, None]).T  # (k, n)
+    rows = below_pos[b, neigh]
+    rel = repr.seeds[i - 1][b, neigh] - repr.seeds[i][b, idx]
+    k, n = rows.shape
+    gathered = T.gather(feats, rows)  # (k, n, C)
     joined = T.concat([gathered, T.tensor(rel.astype(feats.dtype))], axis=-1)
-    flat = T.reshape(joined, (n * k, joined.shape[-1]))
+    flat = T.reshape(joined, (k * n, joined.shape[-1]))
     h = _mlp2(params, f"merge{scale}", flat)
     return T.segment_max(h, n)
 
@@ -567,7 +574,9 @@ def pool_tokens(top, B):
     """Global features (B, C) of B equal-size token sets packed cloud after
     cloud in top, each set's max-pool plus its mean-pool. Unmasked sets
     qualify: every cloud has counts[-1] coarsest tokens."""
-    return T.add(T.segment_max(top, B), T.segment_mean(top, B))
+    mean = T.segment_mean(top, B)  # checks that top splits into B equal sets
+    members = np.arange(top.shape[0]).reshape(B, -1).T.ravel()  # segment_max's block layout
+    return T.add(T.segment_max(T.gather(top, members), B), mean)
 
 
 def extract_global_feature(params, config, points, index=None):

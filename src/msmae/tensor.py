@@ -271,10 +271,14 @@ def linear(x, w, b):
     return _make(data, (x, w, b), vjp)
 
 
-def gelu(x):
-    """gelu(x) = 0.5*x*(1 + tanh(GELU_C0*(x + GELU_C1*x^3))), tanh approximation."""
-    x = as_tensor(x)
-    d = x.data
+def _gelu(d, slope):
+    """gelu of the array d, and with slope its local slope: the one formula
+    that gelu and mlp share, so both give the same bits.
+
+    The slope is 0.5*(1 + t) + 0.5*d*(1 - t*t)*GELU_C0*(1 + 3*GELU_C1*d*d)
+    with t the tanh, computed in place but in that expression's operation
+    order. Returns (values, slope or None).
+    """
     # the tanh argument GELU_C0*(d + GELU_C1*d*d*d) in one buffer, in that
     # expression's operation order
     t = np.multiply(GELU_C1, d, out=np.empty_like(d))
@@ -285,11 +289,8 @@ def gelu(x):
     np.tanh(t, out=t)
     data = 0.5 * d
     data *= 1.0 + t
-    if _active_tape() is None or not x.requires_grad:
-        return Tensor(data)
-    # the local slope 0.5*(1 + t) + 0.5*d*(1 - t*t)*GELU_C0*(1 + 3*GELU_C1*d*d),
-    # in place but in that expression's operation order, so in the same bits;
-    # the vjp holds this one array, so the input and t can die
+    if not slope:
+        return data, None
     inner = (3.0 * GELU_C1) * d
     inner *= d
     inner += 1.0
@@ -302,12 +303,58 @@ def gelu(x):
     np.add(t, 1.0, out=buf)
     buf *= 0.5
     local += buf
+    return data, local
+
+
+def gelu(x):
+    """gelu(x) = 0.5*x*(1 + tanh(GELU_C0*(x + GELU_C1*x^3))), tanh approximation."""
+    x = as_tensor(x)
+    taped = _active_tape() is not None and x.requires_grad
+    # the vjp holds only the slope, so the input and the tanh can die
+    data, local = _gelu(x.data, taped)
+    if not taped:
+        return Tensor(data)
 
     def vjp(g):
         # a tape is swept once, so the vjp may spend the slope's buffer
         return (np.multiply(local, g, out=local),)
 
     return _make(data, (x,), vjp)
+
+
+def mlp(x, w0, b0, w1, b1):
+    """gelu(x @ w0 + b0) @ w1 + b1 as one node that holds only its input.
+
+    Values and gradients are bit-identical to
+    linear(gelu(linear(x, w0, b0)), w1, b1): the backward recomputes the
+    pre-activation, the activation and the gelu slope with the same
+    operations, so none of the three hidden-width arrays stays on the tape.
+    """
+    x, w0, b0, w1, b1 = (as_tensor(t) for t in (x, w0, b0, w1, b1))
+    dx, dw0, dw1 = x.data, w0.data, w1.data
+    if (dx.ndim != 2 or dw0.ndim != 2 or dw1.ndim != 2 or dx.shape[1] != dw0.shape[0]
+            or b0.data.shape != dw0.shape[1:] or dw1.shape[0] != dw0.shape[1]
+            or b1.data.shape != dw1.shape[1:]):
+        raise ShapeError(f"mlp shapes incompatible: {dx.shape} x {dw0.shape} + {b0.data.shape}"
+                         f" x {dw1.shape} + {b1.data.shape}")
+    db0, x_grad = b0.data, x.requires_grad
+
+    def hidden(slope):
+        pre = dx @ dw0
+        pre += db0
+        return _gelu(pre, slope)
+
+    data = hidden(False)[0] @ dw1
+    data += b1.data
+
+    def vjp(g):
+        act, local = hidden(True)
+        gw1 = act.T @ g
+        del act
+        gh = np.multiply(local, g @ dw1.T, out=local)
+        return gh @ dw0.T if x_grad else None, dx.T @ gh, gh.sum(axis=0), gw1, g.sum(axis=0)
+
+    return _make(data, (x, w0, b0, w1, b1), vjp)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -458,24 +505,36 @@ def _group_size(x, num_segments):
 
 
 def segment_max(x, num_segments):
-    """Per-group max over num_segments equal contiguous groups of leading-axis rows.
+    """Per-group max over num_segments equal groups of leading-axis rows,
+    laid out as k contiguous blocks of num_segments rows: row j*num_segments + i
+    is member j of group i.
 
-    Gradient routes to the first maximal element of each group per channel.
+    Gradient routes to the first maximal member of each group per channel;
+    the tape keeps only that member's number, in the narrowest integer type.
     """
     x = as_tensor(x)
     k = _group_size(x, num_segments)
     d = x.data
-    grouped = d.reshape((num_segments, k) + d.shape[1:])
+    blocks = d.reshape((k, num_segments) + d.shape[1:])
+    data = blocks.max(axis=0)
     if _active_tape() is None or not x.requires_grad:
-        return Tensor(grouped.max(axis=1))
-    arg = np.expand_dims(grouped.argmax(axis=1), 1)
-    data = np.take_along_axis(grouped, arg, axis=1)[:, 0]
-    grouped_shape, shape, dtype = grouped.shape, d.shape, d.dtype
+        return Tensor(data)
+    # a group's first maximal member is the number of members before it,
+    # each unequal to the max; k passes over contiguous blocks, no argmax
+    arg = np.zeros(data.shape, dtype=np.min_scalar_type(k - 1))
+    leading = np.ones(data.shape, dtype=bool)
+    for j in range(k - 1):
+        leading &= blocks[j] != data
+        arg += leading
+    shape, dtype = d.shape, d.dtype
 
     def vjp(g):
-        buf = np.zeros(grouped_shape, dtype)
-        np.put_along_axis(buf, arg, np.expand_dims(g, 1), axis=1)
-        return (buf.reshape(shape),)
+        at = arg.astype(np.intp)  # flat position of each routed member
+        at *= arg.size
+        at += np.arange(arg.size).reshape(arg.shape)
+        buf = np.zeros(shape, dtype)
+        np.put(buf, at, g)
+        return (buf,)
 
     return _make(data, (x,), vjp)
 

@@ -134,6 +134,8 @@ def test_criterion_03_gradients_match_finite_differences():
         ("cross_entropy", lambda a: T.softmax_cross_entropy(a, labels), [arr(3, 4)]),
         ("chamfer_sets", lambda a: T.reduce_sum(G.chamfer_sets(a, chamfer_target)),
          [arr(2, 4, 3)]),
+        ("mlp", lambda x, w0, b0, w1, b1: dot(T.mlp(x, w0, b0, w1, b1)),
+         [arr(3, 4), arr(4, 5), arr(5), arr(5, 2), arr(2)]),
     ]
     for name, fn, arrays in cases:
         fd_check(fn, arrays, tol=tol)

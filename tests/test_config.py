@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from msmae.checkpoint import parse_model_text
-from msmae.config import load_run_config, make_train_config, resolved_text
+from msmae.config import _KEYS, RunConfig, load_run_config, make_train_config, resolved_text
 from msmae.errors import ConfigError
 from msmae.model import ModelConfig
 
@@ -151,3 +151,17 @@ def test_snapshot_spells_values_for_replay():
     text = resolved_text(rc)
     assert "radii = 0.1,0.30000000000000004,0.3333333333333333\n" in text
     assert "local_attention = true\n" in text
+
+
+HOSTILE = ["0", "-1", "nan", "inf", "-inf", "1e9", "", "abc", "0.5", "1", "2,2,2", "1,2", "1e-300"]
+
+
+def test_every_key_takes_hostile_values_or_refuses_them():
+    # a key added later is swept too: every outcome is a RunConfig or a ConfigError
+    for section, key in _KEYS:
+        for raw in HOSTILE:
+            try:
+                rc = load_run_config(None, [(f"{section}.{key}", raw)])
+            except ConfigError:
+                continue
+            assert isinstance(rc, RunConfig), (section, key, raw)

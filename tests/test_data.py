@@ -189,7 +189,7 @@ class TestLabels:
         labels = {"sphere/a-1": 0, "cube/b-2": 1}
         path = tmp_path / "labels.tsv"
         D.save_labels(path, labels)
-        assert D.load_labels(path) == labels
+        assert D.load_labels(path) == (labels, {"cube/b-2": 1, "sphere/a-1": 2})  # sorted ids
 
     def test_malformed_line_numbered(self, tmp_path):
         path = tmp_path / "labels.tsv"
@@ -266,10 +266,22 @@ class TestDatasetDir:
         train, val = D.make_dataset(dc)
         root = tmp_path / "ds"
         D.write_dataset_dir(root, train + val, list(dc.kinds))
-        labels = D.load_labels(root / "labels.tsv")
+        labels = D.load_labels(root / "labels.tsv")[0]
         labels.pop(sorted(labels)[0])
         D.save_labels(root / "labels.tsv", labels)
         with pytest.raises(ParseError):
+            D.load_dataset_dir(root)
+
+    def test_orphan_label_row_rejected(self, tmp_path):
+        dc = D.DataConfig(total=8, num_points=32, seed=3, noise=0.0,
+                          kinds=("sphere", "torus"), train_frac=0.5)
+        train, val = D.make_dataset(dc)
+        root = tmp_path / "ds"
+        D.write_dataset_dir(root, train + val, list(dc.kinds))
+        rows = (root / "labels.tsv").read_text().count("\n")
+        with open(root / "labels.tsv", "a") as fh:
+            fh.write("ghost/none\t1\n")
+        with pytest.raises(ParseError, match=rf"labels\.tsv:{rows + 1}: id 'ghost/none' names no \.pcb file"):
             D.load_dataset_dir(root)
 
 

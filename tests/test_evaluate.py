@@ -69,6 +69,16 @@ class TestLinearProbe:
         with pytest.raises(ConfigError):
             E.linear_probe(feats, labels, feats, labels)
 
+    def test_diverged_weights_raise_numeric_error(self):
+        # at weight decay 1e9 each step multiplies the weights by about -1e8
+        feats = np.random.default_rng(9).normal(size=(40, 8))
+        labels = np.arange(40) % 4
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=r"iteration \d+ of 500"):
+                E.linear_probe(feats[::2], labels[::2], feats[1::2], labels[1::2], weight_decay=1e9)
+            with pytest.raises(NumericError, match="linear probe diverged"):
+                E.few_shot_eval(feats, labels, way=2, shot=5, runs=1, queries=5, weight_decay=1e9)
+
     def test_as_dict_serializes(self):
         import json
         feats, labels = blobs(10, 2, 4, 0.3, 8)

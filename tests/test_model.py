@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from msmae.geometry import radius_mask
 from msmae.evaluate import extract_features
 from msmae.masking import MaskAssignment, MultiScaleRepr, build_scales, verify_consistency
 from msmae.model import HIERARCHY_CHUNK
+from msmae.rng import derive_rng
+from msmae.training import augment
 
 SMALL = M.ModelConfig(num_points=128, counts=(64, 32, 8), dims=(32, 64, 128),
                       radii=(0.32, 0.64, 1.28), ks=(16, 8, 8),
@@ -155,6 +158,20 @@ class TestEmbed:
         out = M.embed_tokens(m.params, SMALL, repr, MaskAssignment(visible=[np.ones((1, 2), bool)]))
         assert np.abs(out.data[0] - out.data[1]).max() == 0.0
 
+    def test_matches_per_token_pooling(self):
+        # each visible token pools mlp1 over its own neighbourhood, whatever the packed row order
+        m = M.Model.init(SMALL, seed=5, dtype=np.float64)
+        repr, assignment = M.hierarchy(SMALL, [cloud(5), cloud(6)],
+                                       [np.random.default_rng(7), np.random.default_rng(8)])
+        got = M.embed_tokens(m.params, SMALL, repr, assignment).data
+        b, idx = np.nonzero(assignment.visible[0])
+        want = []
+        for c, i in zip(b, idx):
+            rel = repr.input_points[c, repr.neighbor_index[0][c, i]] - repr.seeds[0][c, i]
+            pooled = M._mlp2(m.params, "embed.mlp1", T.tensor(rel)).data.max(axis=0)
+            want.append(M._mlp2(m.params, "embed.mlp2", T.tensor(pooled[None])).data[0])
+        assert np.abs(got - np.array(want)).max() <= 1e-12
+
 
 class TestMerge:
     def test_neighbor_order_irrelevant(self):
@@ -168,6 +185,22 @@ class TestMerge:
         repr.neighbor_index[1] = repr.neighbor_index[1][:, ::-1].copy()
         out2 = M.merge_tokens(m.params, SMALL, repr[None], assignment[None], 2, feats)
         assert np.array_equal(out1.data, out2.data)
+
+    def test_matches_per_token_pooling(self):
+        m = M.Model.init(SMALL, seed=6, dtype=np.float64)
+        repr, assignment = M.hierarchy(SMALL, [cloud(9), cloud(10)],
+                                       [np.random.default_rng(11), np.random.default_rng(12)])
+        feats = M.embed_tokens(m.params, SMALL, repr, assignment)
+        got = M.merge_tokens(m.params, SMALL, repr, assignment, 2, feats).data
+        below = np.cumsum(assignment.visible[0]).reshape(assignment.visible[0].shape) - 1
+        b, idx = np.nonzero(assignment.visible[1])
+        want = []
+        for c, i in zip(b, idx):
+            neigh = repr.neighbor_index[1][c, i]  # back-projection keeps every neighbour visible
+            rel = repr.seeds[0][c, neigh] - repr.seeds[1][c, i]
+            joined = np.concatenate([feats.data[below[c, neigh]], rel], axis=1)
+            want.append(M._mlp2(m.params, "merge2", T.tensor(joined)).data.max(axis=0))
+        assert np.abs(got - np.array(want)).max() <= 1e-12
 
     def test_hidden_neighbor_pools_over_visible_ones(self):
         m = M.Model.init(SMALL, seed=0)
@@ -405,6 +438,14 @@ class TestGlobalFeature:
         x = T.tensor(np.random.default_rng(23).normal(size=(1, 6)))
         pooled = M.pool_tokens(x, 1)
         assert np.allclose(pooled.data, 2 * x.data)
+
+    def test_packed_sets_pool_one_by_one(self):
+        top = np.random.default_rng(24).normal(size=(4 * 5, 6))
+        pooled = M.pool_tokens(T.tensor(top), 4).data
+        for b in range(4):
+            one = top[5 * b:5 * (b + 1)]
+            assert np.array_equal(M.pool_tokens(T.tensor(one), 1).data[0], pooled[b])
+            assert np.allclose(pooled[b], one.max(axis=0) + one.mean(axis=0), rtol=0, atol=1e-15)
 
 
 class TestEndToEndGradients:
@@ -697,6 +738,28 @@ class TestPacking:
         scale = max(np.abs(g).max() for g in old_grads)
         for name, got, want in zip(["feats"] + names, new_grads, old_grads):
             assert np.abs(got - want).max() <= 1e-9 * scale, name
+
+
+class TestTapeMemory:
+    def test_desk_batch_tape_holds_at_most_14_mib(self):
+        # tracemalloc bytes repeat exactly across processes; this tape once held 23.3 MiB,
+        # with every MLP's hidden activations on it
+        rc = load_run_config(None)
+        records = make_records(dataclasses.replace(rc.data, total=32))
+        model = M.Model.init(rc.model, seed=0)
+        index = M.hierarchy_index(rc.model, [r.points for r in records])
+        clouds = [augment(r.points, derive_rng(0, "augment", 0, i)) for i, r in enumerate(records)]
+        rngs = [derive_rng(0, "mask", 0, i) for i in range(len(records))]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with T.Tape() as tape:  # kept referenced, so its nodes stay alive
+                loss = M.forward_pretrain_batch(model.params, rc.model, clouds, rngs, index)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 32 and math.isfinite(float(loss.data))
+        assert held <= 14 * 2 ** 20, f"the tape holds {held / 2 ** 20:.2f} MiB after the forward"
 
 
 class TestBatchedHierarchy:

@@ -185,6 +185,49 @@ class TestLinear:
             T.linear(*[T.tensor(np.zeros(s)) for s in shapes])
 
 
+class TestMlp:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_match_linear_gelu_linear(self, dtype):
+        r = rng(33)
+        x0, w0, b0, w1, b1, up = [(2.0 * r.normal(size=s)).astype(dtype)
+                                  for s in [(7, 4), (4, 9), (9,), (9, 3), (3,), (7, 3)]]
+        results = []
+        for fused in (True, False):
+            ts = [T.tensor(a, requires_grad=True) for a in (x0, w0, b0, w1, b1)]
+            with T.Tape() as tape:
+                out = T.mlp(*ts) if fused else T.linear(T.gelu(T.linear(*ts[:3])), *ts[3:])
+                loss = T.reduce_sum(T.mul(out, T.tensor(up)))
+            results.append([out.data] + tape.gradients(loss, ts))
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == dtype
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_constant_input_gets_no_gradient(self):
+        r = rng(34)
+        x = T.tensor(r.normal(size=(5, 2)))
+        ws = [T.tensor(r.normal(size=s), requires_grad=True) for s in [(2, 6), (6,), (6, 2), (2,)]]
+        with T.Tape() as tape:
+            y = T.mlp(x, *ws)
+        _, vjp = tape._nodes[y.node[1]]
+        assert vjp(np.ones((5, 2)))[0] is None
+
+    def test_grad(self):
+        r = rng(35)
+        fd_check(lambda x, w0, b0, w1, b1: T.reduce_sum(T.mul(T.mlp(x, w0, b0, w1, b1), x)),
+                 [r.normal(size=(3, 2)), r.normal(size=(2, 5)), r.normal(size=(5,)),
+                  r.normal(size=(5, 2)), r.normal(size=(2,))])
+
+    @pytest.mark.parametrize("shapes", [((3, 4), (5, 6), (6,), (6, 2), (2,)),
+                                        ((3, 4), (4, 6), (5,), (6, 2), (2,)),
+                                        ((3, 4), (4, 6), (6,), (5, 2), (2,)),
+                                        ((3, 4), (4, 6), (6,), (6, 2), (3,)),
+                                        ((4,), (4, 6), (6,), (6, 2), (2,))])
+    def test_shape_errors(self, shapes):
+        with pytest.raises(ShapeError):
+            T.mlp(*[T.tensor(np.zeros(s)) for s in shapes])
+
+
 class TestLayerNorm:
     def test_normalizes(self):
         r = rng(7)
@@ -371,9 +414,10 @@ class TestScatter:
 
 class TestSegments:
     def test_segment_max_uniform(self):
+        # two groups of two, as blocks of members: row j*2 + i is member j of group i
         x = T.tensor(np.array([[1.0, 0.0], [5.0, -1.0], [2.0, 9.0], [7.0, 3.0]]))
         out = T.segment_max(x, 2)
-        assert np.array_equal(out.data, np.array([[5.0, 0.0], [7.0, 9.0]]))
+        assert np.array_equal(out.data, np.array([[2.0, 9.0], [7.0, 3.0]]))
 
     def test_segment_max_grad_routes_to_first_argmax(self):
         x = T.tensor(np.array([[2.0], [2.0], [1.0]]), requires_grad=True, dtype=np.float64)
@@ -381,6 +425,33 @@ class TestSegments:
             y = T.reduce_sum(T.segment_max(x, 1))
         tape.backward(y)
         assert np.array_equal(x.grad, np.array([[1.0], [0.0], [0.0]]))
+
+    @given(st.integers(0, 2 ** 20))
+    @settings(max_examples=25, deadline=None)
+    def test_segment_max_grad_routes_to_first_maximal_member(self, seed):
+        r = np.random.default_rng(seed)
+        m, k = int(r.integers(1, 5)), int(r.integers(1, 20))
+        d = np.round(r.normal(size=(k * m, 3)), 0)  # many ties
+        g = r.normal(size=(m, 3))
+        x = T.tensor(d, requires_grad=True)
+        with T.Tape() as tape:
+            y = T.segment_max(x, m)
+            loss = T.reduce_sum(T.mul(y, T.tensor(g)))
+        (got,) = tape.gradients(loss, [x])
+        members = d.reshape(k, m, 3)
+        first = members.argmax(axis=0)  # argmax returns the first of equal maxima
+        want = np.zeros((k, m, 3))
+        np.put_along_axis(want, first[None], g[None], axis=0)
+        assert np.array_equal(y.data, members.max(axis=0))
+        assert np.array_equal(got, want.reshape(k * m, 3))
+
+    def test_segment_max_tape_holds_a_narrow_index(self):
+        x = T.tensor(rng(16).normal(size=(40, 3)), requires_grad=True)
+        with T.Tape() as tape:
+            T.segment_max(x, 5)
+        _, vjp = tape._nodes[0]
+        held = [c.cell_contents for c in vjp.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+        assert [(a.shape, a.dtype) for a in held] == [((5, 3), np.uint8)]
 
     def test_segment_max_grad_fd(self):
         r = rng(14)
@@ -601,6 +672,30 @@ class TestRetention:
         t = np.tanh(T.GELU_C0 * (u + T.GELU_C1 * u ** 3))
         slope = 0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * T.GELU_C0 * (1.0 + 3.0 * T.GELU_C1 * u * u)
         assert np.allclose(g, 2.0 * w * slope, rtol=1e-12, atol=1e-12)
+
+    def test_mlp_holds_only_its_input(self, monkeypatch):
+        r = rng(45)
+        x0, w0, b0, w1, b1, up = [r.normal(size=s) for s in [(6, 3), (3, 8), (8,), (8, 2), (2,), (6, 2)]]
+        seen = []
+        gelu_of = T._gelu
+
+        def spy(d, slope):  # weak references to the pre-activation, activation and slope
+            out = gelu_of(d, slope)
+            seen.extend(weakref.ref(a) for a in (d, *out) if a is not None)
+            return out
+
+        monkeypatch.setattr(T, "_gelu", spy)
+        ts = [T.tensor(a, requires_grad=True) for a in (x0, w0, b0, w1, b1)]
+        with T.Tape() as tape:
+            y = T.mlp(*ts)
+            assert len(seen) == 2 and all(ref() is None for ref in seen)
+            loss = T.reduce_sum(T.mul(y, T.tensor(up)))
+        got = tape.gradients(loss, ts)
+        monkeypatch.undo()
+        with T.Tape() as tape:
+            loss = T.reduce_sum(T.mul(T.linear(T.gelu(T.linear(*ts[:3])), *ts[3:]), T.tensor(up)))
+        for g, want in zip(got, tape.gradients(loss, ts)):
+            assert g.tobytes() == want.tobytes()
 
     def test_sweep_frees_what_backward_read(self):
         x = T.tensor(rng(42).normal(size=(4,)), requires_grad=True, dtype=np.float64)
