@@ -3,9 +3,9 @@
 Layout (all integers little-endian):
 
     magic   4 bytes  "PM2A"
-    version u16      currently 1
-    config  u32 length + utf-8 text, one key=value line per ModelConfig
-            field, values in the codec module's spelling
+    version u16      currently 2
+    config  u32 length + utf-8 text: the [model] section of config.ini,
+            one `key = value` line per ModelConfig field
     params  u32 record count, then records
     optflag u8       0 = no optimizer section
     [step   u64, epoch u64, m-table, v-table]   when optflag == 1
@@ -23,17 +23,16 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import fields
 
 import numpy as np
 
 from . import tensor as T
-from .codec import format_value, parse_value
+from .codec import ini_section, read_ini, text_keys
 from .errors import ConfigError, ContractError, ParseError
 from .model import ModelConfig, param_shapes
 
 MAGIC = b"PM2A"
-VERSION = 1
+VERSION = 2
 
 
 def _pack_str(s):
@@ -57,37 +56,35 @@ def _pack_table(items):
     return [struct.pack("<I", len(items))] + [_pack_record(name, arr) for name, arr in items]
 
 
+_MODEL_KEYS = text_keys("model", ModelConfig)
+
+
 def model_text(config):
-    """The container's config text for a ModelConfig."""
-    return "\n".join(f"{f.name}={format_value(getattr(config, f.name))}" for f in fields(config))
+    """The container's config text: the [model] section as config.ini has it."""
+    return ini_section("model", [(key, getattr(config, key)) for _, key in _MODEL_KEYS])
 
 
 def parse_model_text(raw, path="model text", start=0):
     """ModelConfig from config text bytes found at byte `start` of `path`.
 
-    Each ModelConfig key appears exactly once: a malformed, repeated or
-    missing line raises ParseError naming the key or a byte offset.
+    The text is read as INI, like a --config file, and sets each
+    ModelConfig key exactly once in its [model] section: anything else
+    raises ParseError naming the key or section and `start`.
     """
-    defaults = {f.name: f.default for f in fields(ModelConfig)}
-    values, off = {}, start
-    for line in raw.split(b"\n"):
-        try:
-            key, _, value = line.decode("utf-8").partition("=")
-            if key not in defaults:
-                raise ConfigError(f"unknown model config key {key!r}")
-            if key in values:
-                raise ConfigError(f"repeated model config key {key!r}")
-            values[key] = parse_value(value, defaults[key])
-        except (UnicodeDecodeError, ConfigError) as exc:
-            raise ParseError(f"{path}: bad config line at byte {off}: {exc}") from None
-        off += len(line) + 1
-    missing = [key for key in defaults if key not in values]
-    if missing:
-        raise ParseError(f"{path}: config text at byte {start} has no line for {missing}")
+    origin = f"{path}: config text at byte {start}"
     try:
-        return ModelConfig(**values).validate()
+        values = read_ini(raw.decode("utf-8"), origin, _MODEL_KEYS)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{origin} is not UTF-8 at byte {start + exc.start}") from None
     except ConfigError as exc:
-        raise ParseError(f"{path}: config text at byte {start} is invalid: {exc}") from None
+        raise ParseError(str(exc)) from None
+    missing = [key for part, key in _MODEL_KEYS if (part, key) not in values]
+    if missing:
+        raise ParseError(f"{origin} has no value for {missing}")
+    try:
+        return ModelConfig(**{key: value for (_, key), value in values.items()}).validate()
+    except ConfigError as exc:
+        raise ParseError(f"{origin} is invalid: {exc}") from None
 
 
 class _Cursor:
@@ -125,11 +122,15 @@ def _read_table(cur, what):
     out = {}
     for i in range(count):
         name = cur.string(f"{what} record {i} name")
+        at = cur.off
         rank = cur.unpack("B", f"{name} rank")
         shape = tuple(cur.unpack("I", f"{name} extent") for _ in range(rank))
         n_items = math.prod(shape)  # exact: np.prod would wrap around on huge extents
         raw = cur.take(4 * n_items, f"{name} payload")
-        out[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        try:
+            out[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        except ValueError:  # more axes than numpy gives an array
+            raise ParseError(f"{cur.path}: {name} rank {rank} at byte {at} exceeds numpy's limit") from None
     return out
 
 

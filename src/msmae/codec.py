@@ -1,12 +1,13 @@
 """Text form of configuration values.
 
-One formatter and one parser serve every place a configuration is
-written or read: INI profiles and files, `--section.key` overrides, the
-`config.ini` snapshot of a run, and the model text inside checkpoints.
-A value is parsed by the type of its field's default, so the config
-dataclasses are the only declaration of what a field holds:
+One formatter, one INI reader and one value parser serve every place a
+configuration is written or read: INI profiles and files, `--section.key`
+overrides, the `config.ini` snapshot of a run, and the `[model]` section
+stored inside checkpoints. A value is parsed by the type of its field's
+default, so the config dataclasses are the only declaration of what a
+field holds:
 
-  bool    true/false, 1/0, yes/no, on/off in any case; written true/false
+  bool    true or false
   int, float, str
           as Python reads them; floats are written with repr, so they
           read back exactly
@@ -14,12 +15,12 @@ dataclasses are the only declaration of what a field holds:
           strings are dropped from a tuple of strings
 """
 
+import configparser
 from dataclasses import field, fields
 
 from .errors import ConfigError
 
-_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
-          "false": False, "0": False, "no": False, "off": False}
+_BOOLS = {"true": True, "false": False}
 
 
 def derived(default):
@@ -28,9 +29,10 @@ def derived(default):
     return field(default=default, metadata={"derived": True})
 
 
-def text_fields(cls):
-    """The fields of dataclass `cls` that configuration text sets."""
-    return [f for f in fields(cls) if not f.metadata.get("derived")]
+def text_keys(section, cls):
+    """{(section, field): default} for the fields of dataclass `cls` that
+    configuration text sets."""
+    return {(section, f.name): f.default for f in fields(cls) if not f.metadata.get("derived")}
 
 
 def format_value(value):
@@ -41,13 +43,18 @@ def format_value(value):
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def ini_section(name, items):
+    """INI text of section `name` holding the (key, value) pairs `items`."""
+    return f"[{name}]\n" + "".join(f"{key} = {format_value(value)}\n" for key, value in items) + "\n"
+
+
 def parse_value(raw, like):
     """`raw` read as a value of the same type as `like`, a field default."""
     raw = raw.strip()
     if isinstance(like, bool):
-        if raw.lower() not in _BOOLS:
-            raise ConfigError(f"expected a boolean, got {raw!r}")
-        return _BOOLS[raw.lower()]
+        if raw not in _BOOLS:
+            raise ConfigError(f"expected true or false, got {raw!r}")
+        return _BOOLS[raw]
     if isinstance(like, tuple):
         parts = raw.split(",")
         if isinstance(like[0], str):
@@ -57,3 +64,33 @@ def parse_value(raw, like):
         return type(like)(raw)
     except ValueError:
         raise ConfigError(f"expected {type(like).__name__}, got {raw!r}") from None
+
+
+def read_ini(text, origin, defaults):
+    """{(section, key): value} of INI `text` (or of {section: {key: raw text}}),
+    each read like its default in `defaults` ({(section, key): default}).
+
+    A repeated section or key, a key that `defaults` lacks or a value that
+    does not read raises ConfigError naming `origin` and the key.
+    """
+    # no header can name the section that configparser would fold into every
+    # other, so [DEFAULT] is an ordinary section, and keys keep their case
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
+    parser.optionxform = str
+    try:
+        if isinstance(text, str):
+            parser.read_string(text, source=origin)
+        else:
+            parser.read_dict(text, source=origin)
+    except configparser.Error as exc:  # on one line; some of its messages span several
+        raise ConfigError(f"{origin}: {' '.join(str(exc).split())}") from None
+    values = {}
+    for section in parser.sections():
+        for key, raw in parser.items(section):
+            if (section, key) not in defaults:
+                raise ConfigError(f"{origin}: unknown option {section}.{key}")
+            try:
+                values[section, key] = parse_value(raw, defaults[section, key])
+            except ConfigError as exc:
+                raise ConfigError(f"{origin}: bad value for {section}.{key}: {exc}") from None
+    return values

@@ -1,23 +1,23 @@
 """Run configuration: INI sections, dotted-key overrides, resolved snapshots.
 
-A run is described by five sections (model, masking, training, data, eval)
-plus an optional [run] section for seed/test_mode defaults. Files
-use `key = value` lines; command lines override any field with
+A run is described by four sections (model, training, data, eval) plus an
+optional [run] section for seed/test_mode defaults. Files use
+`key = value` lines; command lines override any field with
 `--section.key value`. The resolved snapshot written into every output
 directory replays the run exactly.
 
 The keys are the fields of RunConfig: each config dataclass it holds is a
-section of that dataclass's fields, and its own scalars form [run]. Only
-the keys in _RENAMED are spelled unlike their field. Values are read and
-written by the codec module.
+section whose keys are that dataclass's fields, spelled as the fields
+are, and its own scalars form [run]. Values are read and written by the
+codec module, which also reads and writes the [model] section that
+checkpoints store.
 """
 
-import configparser
 import hashlib
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from importlib import resources
 
-from .codec import format_value, parse_value, text_fields
+from .codec import ini_section, read_ini, text_keys
 from .data import DataConfig, read_lines
 from .errors import ConfigError
 from .evaluate import EvalConfig
@@ -35,122 +35,55 @@ class RunConfig:
     test_mode: bool = False
 
 
-# INI keys spelled unlike the field they set:
-# (section, key) -> (RunConfig field, field, index into a tuple value or None)
-_RENAMED = {
-    ("masking", "ratio"): ("model", "mask_ratio", None),
-    ("masking", "multi_scale"): ("model", "multi_scale_mask", None),
-    ("training", "scale_min"): ("training", "scale_range", 0),
-    ("training", "scale_max"): ("training", "scale_range", 1),
-    ("training", "shift"): ("training", "shift_range", None),
-}
+# the sections that hold a config dataclass, by name; [run] holds RunConfig's own scalars
+_PARTS = {f.name: f.type for f in fields(RunConfig) if is_dataclass(f.type)}
 
 
-def _keys():
-    """Every INI key in file order: (section, key) -> (part, field, index).
-
-    part names the RunConfig field that holds the value, "" RunConfig itself.
-    """
-    renamed = {}
-    for key, (part, name, _) in _RENAMED.items():
-        renamed.setdefault((part, name), []).append(key)
-    keys = {}
-    for f in fields(RunConfig):
-        part, members = (f.name, text_fields(f.type)) if is_dataclass(f.type) else ("", [f])
-        for m in members:
-            for key in renamed.get((part, m.name), [(part or "run", m.name)]):
-                keys[key] = _RENAMED.get(key, (part, m.name, None))
-    return keys
+def _get(rc, section, key):
+    return getattr(rc if section == "run" else getattr(rc, section), key)
 
 
-_KEYS = _keys()
-_DEFAULTS = RunConfig()
+def _by_section(values):
+    """{section: {key: value}} of {(section, key): value}, in order."""
+    out = {}
+    for (section, key), value in values.items():
+        out.setdefault(section, {})[key] = value
+    return out
 
 
-def _get(rc, spec):
-    part, name, index = spec
-    value = getattr(getattr(rc, part) if part else rc, name)
-    return value if index is None else value[index]
-
-
-def profile_path(name):
-    """Path of a shipped profile; names without a slash or dot are looked
-    up in the packaged profiles directory."""
-    return resources.files("msmae").joinpath(f"profiles/{name}.ini")
-
-
-def _read_ini(text, origin):
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text, source=origin)
-    except configparser.Error as exc:
-        raise ConfigError(f"{origin}: {exc}") from exc
-    pairs = {}
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            pairs[(section, key)] = raw
-    return pairs
-
-
-def _apply(pairs, origin, values):
-    for (section, key), raw in pairs.items():
-        spec = _KEYS.get((section, key))
-        if spec is None:
-            raise ConfigError(f"{origin}: unknown option {section}.{key}")
-        try:
-            values[spec] = parse_value(raw, _get(_DEFAULTS, spec))
-        except ConfigError as exc:
-            raise ConfigError(f"{origin}: bad value for {section}.{key}: {exc}") from None
-
-
-def _build(values):
-    """RunConfig with `values` ({spec: value}) over the dataclass defaults."""
-    kw = {}
-    for (part, name, index), value in values.items():
-        fields_of = kw.setdefault(part, {})
-        if index is not None:
-            items = list(fields_of.get(name, _get(_DEFAULTS, (part, name, None))))
-            items[index] = value
-            value = tuple(items)
-        fields_of[name] = value
-    parts = {f.name: replace(getattr(_DEFAULTS, f.name), **kw.get(f.name, {}))
-             for f in fields(RunConfig) if is_dataclass(f.type)}
-    rc = replace(_DEFAULTS, **parts, **kw.get("", {}))
-    rc.data.num_points = rc.model.num_points
-    return rc
+# every INI key in file order, with its default: {(section, key): default}
+_KEYS = {key: default for name, cls in _PARTS.items() for key, default in text_keys(name, cls).items()}
+_KEYS.update({("run", f.name): f.default for f in fields(RunConfig) if f.name not in _PARTS})
+_PROFILES = resources.files("msmae") / "profiles"
 
 
 def load_run_config(config=None, overrides=()):
     """Assemble a validated RunConfig.
 
-    config is a profile name ("desk", "paper"), a path to an INI file, or
-    None for the desk defaults. overrides are ("section.key", "value")
-    pairs applied last.
+    config is the name of a shipped profile ("desk", "paper": a name with
+    no slash or dot), a path to an INI file, or None for the desk
+    defaults. overrides are ("section.key", "value") pairs applied last.
     """
-    values = {}
-    base = profile_path("desk").read_text()
-    _apply(_read_ini(base, "desk profile"), "desk profile", values)
+    values = {**_KEYS, **read_ini((_PROFILES / "desk.ini").read_text(), "desk profile", _KEYS)}
     if config is not None:
         name = str(config)
         if "/" not in name and "." not in name:
-            handle = profile_path(name)
+            handle = _PROFILES / f"{name}.ini"
             if not handle.is_file():
                 raise ConfigError(f"no such profile: {name}")
             text, origin = handle.read_text(), f"profile {name}"
         else:
             text, origin = "".join(read_lines(config, ConfigError)), str(config)
-        _apply(_read_ini(text, origin), origin, values)
-    for spec, raw in overrides:
+        values.update(read_ini(text, origin, _KEYS))
+    for spec, _ in overrides:
         if "." not in spec:
             raise ConfigError(f"override {spec!r} is not of the form section.key")
-        section, key = spec.split(".", 1)
-        _apply({(section, key): raw}, "command line", values)
-    rc = _build(values)
-    rc.model.validate()
-    rc.training.validate()
-    rc.data.validate()
-    rc.eval.validate()
-    return rc
+    given = _by_section({tuple(spec.split(".", 1)): raw for spec, raw in overrides})
+    values.update(read_ini(given, "command line", _KEYS))
+    sections = _by_section(values)
+    sections["data"]["num_points"] = sections["model"]["num_points"]
+    run = sections.pop("run")
+    return RunConfig(**{name: _PARTS[name](**kw).validate() for name, kw in sections.items()}, **run)
 
 
 def make_train_config(rc, out_dir):
@@ -160,10 +93,8 @@ def make_train_config(rc, out_dir):
 
 def resolved_text(rc):
     """Render the fully-resolved configuration as INI text."""
-    sections = {}
-    for (section, key), spec in _KEYS.items():
-        sections.setdefault(section, []).append(f"{key} = {format_value(_get(rc, spec))}\n")
-    return "".join(f"[{section}]\n" + "".join(lines) + "\n" for section, lines in sections.items())
+    sections = _by_section({(section, key): _get(rc, section, key) for section, key in _KEYS})
+    return "".join(ini_section(section, items.items()) for section, items in sections.items())
 
 
 def config_digest(rc):

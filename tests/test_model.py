@@ -37,8 +37,8 @@ def edit_config_text(path, edit):
 
 
 def set_config_line(path, key, value):
-    """Rewrite the `key=` line of a checkpoint's config text to `key=value`."""
-    edit_config_text(path, lambda lines: [key + b"=" + value if line.startswith(key + b"=")
+    """Rewrite the `key = ` line of a checkpoint's config text to `key = value`."""
+    edit_config_text(path, lambda lines: [key + b" = " + value if line.startswith(key + b" = ")
                                           else line for line in lines])
 
 
@@ -571,6 +571,16 @@ class TestCheckpoints:
             load_checkpoint(path)
         assert f"embed.mlp1.w0 payload at byte {rank + 13}" in str(exc.value)
 
+    def test_rank_beyond_numpy_names_its_offset(self, tmp_path):
+        # 65 unit extents: a one-item payload that no numpy array can take the shape of
+        from msmae.checkpoint import load_checkpoint
+        from msmae.errors import ParseError
+        path, blob, name = self.first_record(tmp_path)
+        rank = name + len(b"embed.mlp1.w0")
+        path.write_bytes(blob[:rank] + bytes([65]) + (1).to_bytes(4, "little") * 65 + blob[rank + 9:])
+        with pytest.raises(ParseError, match=f"embed.mlp1.w0 rank 65 at byte {rank} exceeds"):
+            load_checkpoint(path)
+
     def test_undecodable_name_names_offset(self, tmp_path):
         from msmae.checkpoint import load_checkpoint
         from msmae.errors import ParseError
@@ -605,8 +615,8 @@ class TestCheckpoints:
         save_checkpoint(path, SMALL, m.params)
         blob = bytearray(path.read_bytes())
         # corrupt the stored first-scale width 32 -> 48 inside the config text
-        text_start = blob.index(b"dims=32,64,128")
-        blob[text_start:text_start + len(b"dims=32,64,128")] = b"dims=48,64,128"
+        text_start = blob.index(b"dims = 32,64,128")
+        blob[text_start:text_start + len(b"dims = 32,64,128")] = b"dims = 48,64,128"
         path.write_bytes(bytes(blob))
         with pytest.raises(ParseError):
             load_checkpoint(path)
@@ -619,7 +629,7 @@ class TestCheckpoints:
         set_config_line(path, b"heads", b"x")
         with pytest.raises(ParseError) as exc:
             load_checkpoint(path)
-        assert f"byte {path.read_bytes().index(b'heads=x')}" in str(exc.value)
+        assert "config text at byte 10: bad value for model.heads: expected int, got 'x'" in str(exc.value)
 
     def test_missing_config_key_named(self, tmp_path):
         # a default would quietly turn local attention back on
@@ -629,8 +639,8 @@ class TestCheckpoints:
         cfg = dataclasses.replace(SMALL, local_attention=False)
         save_checkpoint(path, cfg, M.Model.init(cfg, seed=0).params)
         edit_config_text(path, lambda lines: [line for line in lines
-                                              if not line.startswith(b"local_attention=")])
-        with pytest.raises(ParseError, match=r"byte 10 has no line for \['local_attention'\]"):
+                                              if not line.startswith(b"local_attention = ")])
+        with pytest.raises(ParseError, match=r"config text at byte 10 has no value for \['local_attention'\]"):
             load_checkpoint(path)
 
     def test_repeated_config_key_named(self, tmp_path):
@@ -638,21 +648,40 @@ class TestCheckpoints:
         from msmae.errors import ParseError
         path = tmp_path / "model.pm2a"
         save_checkpoint(path, SMALL, M.Model.init(SMALL, seed=0).params)
-        edit_config_text(path, lambda lines: [*lines, b"heads=4"])
+        edit_config_text(path, lambda lines: [*lines, b"heads = 4"])
         with pytest.raises(ParseError) as exc:
             load_checkpoint(path)
-        at = path.read_bytes().rindex(b"heads=4")
-        assert f"byte {at}: repeated model config key 'heads'" in str(exc.value)
+        assert "config text at byte 10" in str(exc.value)
+        assert "option 'heads' in section 'model' already exists" in str(exc.value)
 
-    def test_lowercase_bools_in_config_text(self, tmp_path):
+    @pytest.mark.parametrize("lines, named", [
+        ([b"[DEFAULT]", b"heads = 4"], "unknown option DEFAULT.heads"),   # not folded into [model]
+        ([b"wings = 2"], "unknown option model.wings"),
+        ([b"Heads = 4"], "unknown option model.Heads"),                   # keys keep their case
+        ([b"[model]"], "section 'model' already exists"),
+    ])
+    def test_config_text_outside_the_model_keys_refused(self, tmp_path, lines, named):
         from msmae.checkpoint import load_checkpoint, save_checkpoint
+        from msmae.errors import ParseError
         path = tmp_path / "model.pm2a"
         save_checkpoint(path, SMALL, M.Model.init(SMALL, seed=0).params)
-        set_config_line(path, b"local_attention", b"true")
-        set_config_line(path, b"multi_scale_mask", b"True")
+        edit_config_text(path, lambda text: [*text, *lines])
+        with pytest.raises(ParseError) as exc:
+            load_checkpoint(path)
+        assert "config text at byte 10" in str(exc.value) and named in str(exc.value)
+
+    def test_lowercase_bools_in_config_text(self, tmp_path):
+        # true and false only: version 1's True and False are refused
+        from msmae.checkpoint import load_checkpoint, save_checkpoint
+        from msmae.errors import ParseError
+        path = tmp_path / "model.pm2a"
+        save_checkpoint(path, SMALL, M.Model.init(SMALL, seed=0).params)
+        set_config_line(path, b"local_attention", b"false")
         cfg, _, _, _ = load_checkpoint(path)
-        assert cfg.local_attention is True and cfg.multi_scale_mask is True
-        assert cfg == SMALL
+        assert cfg.local_attention is False and cfg == dataclasses.replace(SMALL, local_attention=False)
+        set_config_line(path, b"multi_scale_mask", b"True")
+        with pytest.raises(ParseError, match="bad value for model.multi_scale_mask: expected true or false"):
+            load_checkpoint(path)
 
     def test_float64_params_rejected(self, tmp_path):
         from msmae.checkpoint import save_checkpoint
