@@ -26,9 +26,10 @@ ascending seed position. So every linear layer, norm and MLP runs once
 over all rows. The embedding and the merges run their MLP over each
 token's k neighbours before max-pooling them, and pack those rows
 neighbour-major: row j*n + i holds neighbour j of the scale's packed
-token i, the block layout tensor.segment_max pools. Attention stays
-within a cloud through a padded (B, n, n) layout (Padding), whose radius
-masks come from one stacked radius_mask.
+token i, the block layout tensor.segment_max pools. Attention
+(tensor.attention) stays within a cloud through a padded (B, n, n)
+layout (tensor.Padding), whose radius masks come from one stacked
+radius_mask.
 Training and feature extraction build the ScaleIndex of their records
 once (hierarchy_index), and each step or cloud puts its own on its points.
 encode, decode and reconstruct are the B=1 case of the same code (repr[None]);
@@ -206,10 +207,6 @@ def param_shapes(config):
     return shapes
 
 
-def param_count(config):
-    return sum(int(np.prod(s)) for s in param_shapes(config).values())
-
-
 def init_params(shapes, seed, dtype=np.float32):
     """Fresh trainable tensors for a name->shape dict, drawn in its order:
     uniform +-sqrt(6/(fan_in+fan_out)) matrices, zero biases, identity
@@ -243,63 +240,6 @@ def _pos_encoding(params, prefix, coords, dtype):
     return _mlp2(params, prefix, T.tensor(coords.astype(dtype)))
 
 
-@dataclass(frozen=True)
-class Padding:
-    """How B token sets, packed one after another as rows of one (N, C)
-    tensor, map onto a padded (B, n, C) layout with n the largest set.
-
-    real holds the flat slots, in B*n order, of the packed rows, one slot
-    per row; the other slots are padding and hold zeros. real is None when
-    every set has n rows, where a reshape does the mapping.
-    """
-
-    count: int
-    width: int
-    real: np.ndarray = None
-
-    @classmethod
-    def of(cls, sizes):
-        sizes = np.asarray(sizes, dtype=np.int64)
-        count, width = sizes.size, int(sizes.max())
-        if (sizes == width).all():
-            return cls(count, width)
-        filled = np.arange(width)[None, :] < sizes[:, None]
-        return cls(count, width, np.flatnonzero(filled))
-
-
-def _attention(params, prefix, x, allow, heads, pad):
-    """Multi-head self-attention within each of pad.count packed token sets.
-
-    x is (N, C) already normalized; allow is a (B, n, n) boolean adjacency
-    over padded slots, or None for dense attention within every set, which
-    needs sets that fill the layout (no padding to keep out).
-    Returns (output (N, C), probs (B, heads, n, n) numpy).
-    """
-    if allow is None and pad.real is not None:
-        raise ContractError("dense attention over padded token sets would attend to padding")
-    C = x.shape[1]
-    B, n = pad.count, pad.width
-    dh = C // heads
-    q = _lin(params, prefix, x, "q")
-    # no key bias: it would add q_i.b to every score of row i, a shift softmax ignores
-    k = T.matmul(x, params[f"{prefix}.wk"])
-    v = _lin(params, prefix, x, "v")
-
-    def split(t):  # packed (N, C) -> (B, heads, n, dh)
-        if pad.real is not None:
-            t = T.scatter(t, pad.real, B * n)
-        return T.transpose(T.reshape(t, (B, n, heads, dh)), (0, 2, 1, 3))
-
-    qh, kh, vh = split(q), split(k), split(v)
-    scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    probs = T.masked_softmax(scores, None if allow is None else allow[:, None, :, :])
-    mixed = T.matmul(probs, vh)  # (B, heads, n, dh)
-    merged = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (B * n, C))
-    if pad.real is not None:
-        merged = T.gather(merged, pad.real)
-    return _lin(params, prefix, merged, "o"), probs.data
-
-
 def encoder_block(params, prefix, feats, pos, allow, heads, pad, return_attn=False):
     """Pre-norm transformer block with adjacency-restricted attention.
 
@@ -308,16 +248,20 @@ def encoder_block(params, prefix, feats, pos, allow, heads, pad, return_attn=Fal
     pad.count token sets and allow is their (B, n, n) adjacency, or None
     for dense attention; one set is Padding(1, n) with allow[None].
     With return_attn, also returns the (B, heads, n, n) attention
-    probabilities.
+    probabilities the block used (tensor.attention_probs).
     """
     h = T.add(feats, pos) if pos is not None else feats
     normed = T.layer_norm(h, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    attn_out, probs = _attention(params, f"{prefix}.attn", normed, allow, heads, pad)
-    h = T.add(h, attn_out)
+    attn = f"{prefix}.attn"
+    q = _lin(params, attn, normed, "q")
+    # no key bias: it would add q_i.b to every score of row i, a shift softmax ignores
+    k = T.matmul(normed, params[f"{attn}.wk"])
+    v = _lin(params, attn, normed, "v")
+    h = T.add(h, _lin(params, attn, T.attention(q, k, v, heads, pad, allow), "o"))
     normed2 = T.layer_norm(h, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
     h = T.add(h, _mlp2(params, f"{prefix}.ffn", normed2))
     if return_attn:
-        return h, probs
+        return h, T.attention_probs(q, k, heads, pad, allow)
     return h
 
 
@@ -448,7 +392,7 @@ def encode_batch(params, config, repr, assignment):
     for i in range(config.num_scales):
         if plan[i]:
             vis = assignment.visible[i]
-            pad = Padding.of(vis.sum(axis=1))
+            pad = T.Padding.of(vis.sum(axis=1))
             allow = _encoder_allow(repr.seeds[i], vis, config.radii[i], pad, config.local_attention)
             pos = _pos_encoding(params, f"enc{i + 1}.pos", repr.seeds[i][vis], dtype)
             for b in range(plan[i]):
@@ -516,7 +460,7 @@ def decode_batch(params, config, tokens, repr, assignment):
                                       axis=-1))
                 feats = _interleave(fused, T.gather(feats, np.flatnonzero(~vis_here)), vis_here)
         if plan[j - 1]:
-            pad = Padding(*seeds.shape[:2])
+            pad = T.Padding(*seeds.shape[:2])
             pos = _pos_encoding(params, f"dec{j}.pos", seeds.reshape(-1, 3), dtype)
             for b in range(plan[j - 1]):
                 feats = encoder_block(params, f"dec{j}.blk{b + 1}", feats, pos, None,

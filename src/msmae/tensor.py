@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -233,19 +234,16 @@ def mul(a, b):
 
 
 def matmul(a, b):
-    """Matrix product of operands with equal rank >= 2 and identical leading
-    dims: (m, k) @ (k, n), or (..., m, k) @ (..., k, n) per stacked pair.
-    Gradients: da = g @ b^T, db = a^T @ g.
-    """
+    """Matrix product (m, k) @ (k, n). Gradients: da = g @ b^T, db = a^T @ g."""
     a = as_tensor(a)
     b = as_tensor(b)
     da, db = a.data, b.data
-    if da.ndim < 2 or da.ndim != db.ndim or da.shape[:-2] != db.shape[:-2] or da.shape[-1] != db.shape[-2]:
+    if da.ndim != 2 or db.ndim != 2 or da.shape[1] != db.shape[0]:
         raise ShapeError(f"matmul shapes incompatible: {da.shape} x {db.shape}")
     data = da @ db
 
     def vjp(g):
-        return g @ db.swapaxes(-1, -2), da.swapaxes(-1, -2) @ g
+        return g @ db.T, da.T @ g
 
     return _make(data, (a, b), vjp)
 
@@ -381,32 +379,121 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     return _make(data, (x, gamma, beta), vjp)
 
 
-def masked_softmax(logits, allow=None):
-    """Softmax over the last axis restricted to allowed positions.
+@dataclass(frozen=True)
+class Padding:
+    """How B token sets, packed one after another as rows of one (N, C)
+    array, map onto a padded (B, n, C) layout with n the largest set.
 
-    Disallowed entries are exactly zero in the output; allowed entries are
-    positive and sum to one per row, computed with max-subtraction. A row
-    with no allowed entry is an error, never a silent uniform. allow=None
-    allows every position.
+    real holds the flat slots, in B*n order, of the packed rows, one slot
+    per row; the other slots are padding and hold zeros. real is None when
+    every set has n rows, where a reshape does the mapping.
     """
-    logits = as_tensor(logits)
-    d = logits.data
-    if allow is None:
-        p = d - d.max(axis=-1, keepdims=True)
-    else:
-        mask = np.asarray(allow.data if isinstance(allow, Tensor) else allow, dtype=bool)
-        mask = np.broadcast_to(mask, d.shape)
-        if not mask.any(axis=-1).all():
-            raise ContractError("masked_softmax: a row has no allowed entries")
-        p = np.where(mask, d, -np.inf)  # exp(-inf) is exactly 0
-        p -= p.max(axis=-1, keepdims=True)
+
+    count: int
+    width: int
+    real: np.ndarray = None
+
+    @classmethod
+    def of(cls, sizes):
+        sizes = np.asarray(sizes, dtype=np.int64)
+        count, width = sizes.size, int(sizes.max())
+        if (sizes == width).all():
+            return cls(count, width)
+        filled = np.arange(width)[None, :] < sizes[:, None]
+        return cls(count, width, np.flatnonzero(filled))
+
+
+def _split_heads(d, heads, pad):
+    """Packed (N, C) rows -> a (B, heads, n, C / heads) view of their padded layout."""
+    if pad.real is not None:
+        full = np.zeros((pad.count * pad.width, d.shape[1]), dtype=d.dtype)
+        full[pad.real] = d
+        d = full
+    return d.reshape(pad.count, pad.width, heads, -1).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(h, pad):
+    """(B, heads, n, dh) -> the packed (N, heads * dh) rows of the real slots."""
+    B, heads, n, dh = h.shape
+    rows = h.transpose(0, 2, 1, 3).reshape(B * n, heads * dh)
+    return rows if pad.real is None else rows[pad.real]
+
+
+def _probs(qh, kh, allow, top=None, total=None):
+    """softmax(qh @ kh^T / sqrt(dh)) over the keys allow admits, with each
+    row's max and sum: the one computation attention's forward, its
+    backward and attention_probs share, so all three give the same bits.
+
+    Disallowed entries are exactly zero (exp(-inf)); the row max is
+    subtracted first, so large scores stay finite. Given a row max top and
+    sum total from an earlier call on the same inputs, it reuses them.
+    Returns (probabilities, top, total).
+    """
+    p = qh @ kh.transpose(0, 1, 3, 2)
+    p *= p.dtype.type(1.0 / math.sqrt(qh.shape[-1]))
+    if allow is not None:
+        np.copyto(p, -np.inf, where=~allow[:, None])
+    if top is None:
+        top = p.max(axis=-1, keepdims=True)
+    p -= top
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    if total is None:
+        total = p.sum(axis=-1, keepdims=True)
+    p /= total
+    return p, top, total
+
+
+def attention(q, k, v, heads, pad, allow=None):
+    """Multi-head self-attention within each of pad.count packed token sets,
+    as one node that holds q, k, v and each row's softmax max and sum.
+
+    q, k and v are (N, C) rows laid out by pad (a Padding); allow is a
+    (B, n, n) boolean adjacency over the padded slots, or None for dense
+    attention, which needs sets that fill the layout. Each head mixes its
+    values with softmax(q k^T / sqrt(C / heads)) over the allowed keys; a
+    row with no allowed key is an error, never a silent uniform. Returns
+    the heads' outputs as packed (N, C) rows. The backward recomputes
+    the probabilities with _probs, so no (B, heads, n, n) array stays on
+    the tape; the kept max and sum spare it two row reductions.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    dq, dk, dv = q.data, k.data, v.data
+    B, n = pad.count, pad.width
+    rows = B * n if pad.real is None else pad.real.size
+    if (dq.ndim != 2 or not dq.shape == dk.shape == dv.shape or dq.shape[0] != rows or dq.shape[1] % heads
+            or allow is not None and allow.shape != (B, n, n)):
+        raise ShapeError(f"attention wants {rows} rows of a width {heads} heads split and a ({B}, {n}, {n}) "
+                         f"allow, got q {dq.shape}, k {dk.shape}, v {dv.shape}, "
+                         f"allow {None if allow is None else allow.shape}")
+    if allow is None:
+        if pad.real is not None:
+            raise ContractError("dense attention over padded token sets would attend to padding")
+    elif not allow.any(axis=-1).all():
+        raise ContractError("attention: a row has no allowed entries")
+    p, top, total = _probs(_split_heads(dq, heads, pad), _split_heads(dk, heads, pad), allow)
+    data = _merge_heads(p @ _split_heads(dv, heads, pad), pad)
 
     def vjp(g):
-        return (p * (g - (g * p).sum(axis=-1, keepdims=True)), None)
+        qh, kh, vh = (_split_heads(d, heads, pad) for d in (dq, dk, dv))
+        p = _probs(qh, kh, allow, top, total)[0]
+        g = _split_heads(g, heads, pad)
+        gv = p.swapaxes(-1, -2) @ g
+        gs = g @ vh.swapaxes(-1, -2)  # through the softmax: p * (gs - rowsum(gs * p))
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        del p
+        gs *= gs.dtype.type(1.0 / math.sqrt(qh.shape[-1]))
+        gk = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+        return _merge_heads(gs @ kh, pad), _merge_heads(gk, pad), _merge_heads(gv, pad)
 
-    return _make(p, (logits,), vjp)
+    return _make(data, (q, k, v), vjp)
+
+
+def attention_probs(q, k, heads, pad, allow=None):
+    """The (B, heads, n, n) probabilities attention(q, k, v, heads, pad,
+    allow) mixes values with, by the same computation."""
+    return _probs(_split_heads(as_tensor(q).data, heads, pad),
+                  _split_heads(as_tensor(k).data, heads, pad), allow)[0]
 
 
 def concat(tensors, axis=-1):
@@ -470,29 +557,6 @@ def gather(x, index):
 
     def vjp(g):
         return (scatter_add(np.zeros(shape, dtype), idx, g),)
-
-    return _make(data, (x,), vjp)
-
-
-def scatter(x, index, n):
-    """Place the rows of x at distinct rows index of an n-row zero array.
-
-    The inverse layout of gather: out[index[i]] = x[i], every other row
-    zero. Gradient is the row pick g[index].
-    """
-    x = as_tensor(x)
-    idx = _check_index(index, n, "scatter")
-    if idx.shape != x.data.shape[:1]:
-        raise ShapeError(f"scatter index {idx.shape} does not match {x.data.shape[0]} rows")
-    data = np.zeros((n,) + x.data.shape[1:], dtype=x.data.dtype)
-    hit = np.zeros(n, dtype=bool)
-    hit[idx] = True
-    if np.count_nonzero(hit) != idx.size:
-        raise ContractError("scatter index repeats a row")
-    data[idx] = x.data
-
-    def vjp(g):
-        return (g[idx],)
 
     return _make(data, (x,), vjp)
 
@@ -562,18 +626,6 @@ def reshape(x, shape):
 
     def vjp(g):
         return (g.reshape(before),)
-
-    return _make(data, (x,), vjp)
-
-
-def transpose(x, axes):
-    x = as_tensor(x)
-    axes = tuple(axes)
-    data = np.transpose(x.data, axes)
-    inv = tuple(np.argsort(axes))
-
-    def vjp(g):
-        return (np.transpose(g, inv),)
 
     return _make(data, (x,), vjp)
 

@@ -217,14 +217,16 @@ class TrainConfig:
         if not 0 < self.base_lr < math.inf:
             raise ConfigError(f"training.base_lr must be positive and finite, got {self.base_lr}")
         for key, value in (("min_lr", self.min_lr), ("weight_decay", self.weight_decay),
-                           ("grad_clip", self.grad_clip), ("shift_range", self.shift_range),
-                           ("checkpoint_every", self.checkpoint_every)):
+                           ("grad_clip", self.grad_clip), ("checkpoint_every", self.checkpoint_every)):
             if not 0 <= value < math.inf:
                 raise ConfigError(f"training.{key} must be >= 0 and finite, got {value}")
         if self.min_lr > self.base_lr:
             raise ConfigError(f"training.min_lr {self.min_lr} exceeds training.base_lr {self.base_lr}")
-        if not (len(self.scale_range) == 2 and 0 < self.scale_range[0] <= self.scale_range[1] < math.inf):
-            raise ConfigError("training.scale_range must be two positive finite values, the first at "
+        # clouds are normalized to the unit sphere, and the model's radii are set for that size
+        if not 0 <= self.shift_range <= 1:
+            raise ConfigError(f"training.shift_range must be >= 0 and at most 1, got {self.shift_range}")
+        if not (len(self.scale_range) == 2 and 0.5 <= self.scale_range[0] <= self.scale_range[1] <= 2):
+            raise ConfigError("training.scale_range must be two values in [0.5, 2], the first at "
                               f"most the second, got {self.scale_range}")
         return self
 

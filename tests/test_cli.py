@@ -157,6 +157,8 @@ class TestRejectedValues:
         ("training.min_lr", "0.01"), ("model.mask_ratio", "1.0"), ("model.mask_ratio", "0"),
         ("training.scale_range", "0.9"), ("training.scale_range", "1.25,0.8"),
         ("eval.finetune_warmup_epochs", "-1"), ("eval.finetune_lr", "1e-7"),
+        ("training.shift_range", "1e9"), ("training.scale_range", "0.8,2.5"),
+        ("training.scale_range", "0.4,1.25"),
     ])
     def test_out_of_range_value(self, tmp_path, capsys, key, value):
         out = tmp_path / "run"

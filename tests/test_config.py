@@ -212,3 +212,22 @@ def test_scale_range_takes_two_ordered_values(scale_range):
 def test_shift_range_named_in_its_refusal():
     with pytest.raises(ConfigError, match="training.shift_range must be >= 0"):
         TrainConfig(shift_range=-0.1).validate()
+
+
+@pytest.mark.parametrize("key, value", [("shift_range", 1e9), ("shift_range", 1.5),
+                                        ("scale_range", (0.4, 1.25)), ("scale_range", (0.8, 2.5)),
+                                        ("scale_range", (1e-9, 1e9))],
+                         ids=["shift_range-1e9", "shift_range-1.5", "scale_range-0.4,1.25",
+                              "scale_range-0.8,2.5", "scale_range-1e-9,1e9"])
+def test_augmentation_ranges_bounded(key, value):
+    # clouds live in the unit sphere: a shift past 1 or a scale outside [0.5, 2] is refused
+    with pytest.raises(ConfigError, match=f"training.{key}"):
+        TrainConfig(**{key: value}).validate()
+    text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    with pytest.raises(ConfigError, match=f"training.{key}"):
+        load_run_config(None, [(f"training.{key}", text)])
+
+
+def test_augmentation_range_limits_accepted():
+    TrainConfig(scale_range=(0.5, 2.0), shift_range=1.0).validate()
+    TrainConfig(scale_range=(1.0, 1.0), shift_range=0.0).validate()

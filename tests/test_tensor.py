@@ -132,14 +132,13 @@ class TestMatmul:
                  [r.normal(size=(3, 4)), r.normal(size=(4, 2))])
 
     def test_stacked_shared_right(self):
-        # one form only: operands of equal rank with equal leading dims
+        # one form only: (m, k) @ (k, n)
         with pytest.raises(ShapeError):
             T.matmul(T.tensor(np.zeros((2, 3, 4))), T.tensor(np.zeros((4, 2))))
 
     def test_stacked_both(self):
-        r = rng(6)
-        fd_check(lambda a, b: T.reduce_sum(T.matmul(a, b)),
-                 [r.normal(size=(2, 3, 4)), r.normal(size=(2, 4, 3))])
+        with pytest.raises(ShapeError):
+            T.matmul(T.tensor(np.zeros((2, 3, 4))), T.tensor(np.zeros((2, 4, 3))))
 
     def test_shape_error_names_both_shapes(self):
         a = T.tensor(np.zeros((3, 4)))
@@ -250,63 +249,124 @@ class TestLayerNorm:
                  [r.normal(size=(4, 6)), r.normal(size=(6,)), r.normal(size=(6,))])
 
 
+def attention_inputs(r, sizes, heads=2, dh=3, scale=1.0):
+    """Packed q, k, v of token sets of the given sizes, their Padding and a
+    (B, n, n) allow with one blocked pair in every set of two or more:
+    real slots see the real slots of their own set, padding only itself."""
+    pad = T.Padding.of(sizes)
+    n = pad.width
+    q, k, v = (scale * r.normal(size=(sum(sizes), heads * dh)) for _ in range(3))
+    real = np.arange(n) < np.array(sizes)[:, None]
+    allow = real[:, :, None] & real[:, None, :]
+    if n > 1:
+        allow[np.array(sizes) > 1, 0, 1] = False
+    allow |= np.eye(n, dtype=bool)
+    return q, k, v, pad, allow
+
+
+def attention_reference(q, k, v, heads, sizes, allow):
+    """attention set by set, head by head, in plain numpy."""
+    out, start = [], 0
+    for b, n in enumerate(sizes):
+        rows = slice(start, start + n)
+        start += n
+        mixed = []
+        for qh, kh, vh in zip(*(np.split(t[rows], heads, axis=1) for t in (q, k, v))):
+            s = qh @ kh.T / np.sqrt(qh.shape[1])
+            e = np.where(allow[b, :n, :n], np.exp(s - s.max(axis=1, keepdims=True)), 0.0)
+            mixed.append(e / e.sum(axis=1, keepdims=True) @ vh)
+        out.append(np.concatenate(mixed, axis=1))
+    return np.concatenate(out)
+
+
 class TestMaskedSoftmax:
+    """The masked softmax of tensor.attention: the probabilities each head
+    mixes values with (tensor.attention_probs)."""
+
     def test_disallowed_exactly_zero(self):
-        r = rng(9)
-        logits = r.normal(size=(4, 6)) * 10
-        allow = r.random((4, 6)) > 0.4
-        allow[:, 0] = True  # keep every row valid
-        p = T.masked_softmax(T.tensor(logits), allow).data
-        assert (p[~allow] == 0.0).all()
+        sizes = [5, 2, 4]
+        q, k, v, pad, allow = attention_inputs(rng(9), sizes, scale=3.0)
+        p = T.attention_probs(q, k, 2, pad, allow)
+        mask = np.broadcast_to(allow[:, None], p.shape)
+        assert (p[~mask] == 0.0).all()
+        assert (p[mask] > 0).all()
+        # no real token attends to a padding slot
+        real = np.arange(pad.width) < np.array(sizes)[:, None]
+        hide = real[:, None, :, None] & ~real[:, None, None, :]
+        assert hide.any() and (p[np.broadcast_to(hide, p.shape)] == 0.0).all()
         assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-12)
-        assert (p[allow] > 0).all()
 
     def test_large_logits_stable(self):
-        logits = np.array([[1e4, 1e4 - 1.0, -1e4]])
-        allow = np.array([[True, True, False]])
-        p = T.masked_softmax(T.tensor(logits), allow).data
-        assert np.isfinite(p).all()
-        assert p[0, 2] == 0.0
+        q, k, v, pad, allow = attention_inputs(rng(11), [4, 3], scale=1e3)
+        out = T.attention(q, k, v, 2, pad, allow).data
+        p = T.attention_probs(q, k, 2, pad, allow)
+        assert np.isfinite(out).all() and np.isfinite(p).all()
+        assert (p[:, :, 0, 1] == 0.0).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bits_match_reference_expression(self, dtype):
-        r = rng(33)
-        d = (5.0 * r.normal(size=(2, 3, 8, 8))).astype(dtype)
-        allow = r.random((2, 1, 8, 8)) > 0.5
-        allow |= np.eye(8, dtype=bool)
-        mask = np.broadcast_to(allow, d.shape)
-        m = np.where(mask, d, -np.inf).max(axis=-1, keepdims=True)
-        e = np.where(mask, np.exp(np.where(mask, d - m, 0.0)), 0.0)
-        masked = e / e.sum(axis=-1, keepdims=True)
-        e = np.exp(d - d.max(axis=-1, keepdims=True))
-        dense = e / e.sum(axis=-1, keepdims=True)
-        for got, want in ((T.masked_softmax(T.tensor(d), allow).data, masked),
-                          (T.masked_softmax(T.tensor(d)).data, dense)):
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+        # the same operations on the same layout: the scaled scores, then
+        # max-subtraction, exp and row normalization over the allowed keys
+        q, k, v, pad, allow = attention_inputs(rng(33), [8, 5, 8], heads=3, dh=4, scale=2.0)
+        q, k, v = (t.astype(dtype) for t in (q, k, v))
+        full = np.r_[0:8, 13:21]  # the two sets that fill the layout, for dense attention
+        for pad, allow, rows in ((pad, allow, slice(None)), (T.Padding(2, 8), None, full)):
+            qh, kh, vh = (T._split_heads(t[rows], 3, pad) for t in (q, k, v))
+            d = (qh @ kh.transpose(0, 1, 3, 2)) * dtype(0.5)
+            mask = np.ones(d.shape, bool) if allow is None else np.broadcast_to(allow[:, None], d.shape)
+            m = np.where(mask, d, -np.inf).max(axis=-1, keepdims=True)
+            e = np.where(mask, np.exp(np.where(mask, d - m, 0.0)), 0.0)
+            want = e / e.sum(axis=-1, keepdims=True)
+            got = T.attention_probs(q[rows], k[rows], 3, pad, allow)
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+            out = T.attention(q[rows], k[rows], v[rows], 3, pad, allow).data
+            assert out.tobytes() == T._merge_heads(want @ vh, pad).tobytes()
 
     def test_all_disallowed_row_raises(self):
-        with pytest.raises(ContractError):
-            T.masked_softmax(T.tensor(np.zeros((2, 3))), np.zeros((2, 3), dtype=bool))
+        q, k, v, pad, allow = attention_inputs(rng(12), [3, 2])
+        allow[1, 0] = False
+        with pytest.raises(ContractError, match="no allowed entries"):
+            T.attention(q, k, v, 2, pad, allow)
 
     def test_grad(self):
-        r = rng(10)
-        allow = r.random((3, 5)) > 0.3
-        allow[:, 2] = True
-        w = r.normal(size=(3, 5))
-        fd_check(lambda x: T.reduce_sum(T.mul(T.masked_softmax(x, allow), T.tensor(w))),
-                 [r.normal(size=(3, 5))])
+        sizes = [4, 2, 3]
+        q, k, v, pad, allow = attention_inputs(rng(10), sizes)
+        w = rng(13).normal(size=q.shape)
+        fd_check(lambda a, b, c: T.reduce_sum(T.mul(T.attention(a, b, c, 2, pad, allow), T.tensor(w))),
+                 [q, k, v])
 
     @given(st.integers(0, 2 ** 20))
     @settings(max_examples=30, deadline=None)
     def test_rows_sum_to_one(self, seed):
         r = np.random.default_rng(seed)
-        n, k = int(r.integers(1, 6)), int(r.integers(1, 7))
-        allow = r.random((n, k)) > 0.5
-        allow[np.arange(n), r.integers(0, k, size=n)] = True
-        p = T.masked_softmax(T.tensor(r.normal(size=(n, k)) * 5), allow).data
+        sizes = r.integers(1, 7, size=int(r.integers(1, 4))).tolist()
+        heads = int(r.integers(1, 3))
+        q, k, v, pad, allow = attention_inputs(r, sizes, heads=heads, scale=5.0)
+        allow &= r.random(allow.shape) > 0.5
+        allow |= np.eye(pad.width, dtype=bool)
+        p = T.attention_probs(q, k, heads, pad, allow)
         assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-12)
-        assert (p[~allow] == 0).all()
+        assert (p[~np.broadcast_to(allow[:, None], p.shape)] == 0).all()
+        out = T.attention(q, k, v, heads, pad, allow).data
+        assert np.allclose(out, attention_reference(q, k, v, heads, sizes, allow), rtol=1e-12, atol=1e-12)
+
+
+class TestAttention:
+    def test_dense_over_padding_raises(self):
+        q, k, v, pad, _ = attention_inputs(rng(14), [3, 2])
+        with pytest.raises(ContractError, match="attend to padding"):
+            T.attention(q, k, v, 2, pad)
+
+    @pytest.mark.parametrize("shapes", [[(7, 6), (7, 6), (7, 4)], [(6, 6)] * 3, [(7, 5)] * 3, [(7,)] * 3])
+    def test_shape_errors(self, shapes):
+        _, _, _, pad, allow = attention_inputs(rng(17), [4, 3])
+        with pytest.raises(ShapeError):
+            T.attention(*(np.zeros(s) for s in shapes), 2, pad, allow)
+
+    def test_allow_shape_error(self):
+        q, k, v, pad, allow = attention_inputs(rng(18), [4, 3])
+        with pytest.raises(ShapeError, match=r"\(2, 4, 4\) allow"):
+            T.attention(q, k, v, 2, pad, allow[:1])
 
 
 class TestGatherConcat:
@@ -389,27 +449,6 @@ class TestScatter:
         buf = rng(41).normal(size=(4, 2))
         got = T.scatter_add(buf.copy(), np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3, 2)))
         assert got.tobytes() == buf.tobytes()
-
-    def test_scatter_forward(self):
-        x = T.tensor(np.arange(6.0).reshape(3, 2))
-        out = T.scatter(x, np.array([4, 0, 2]), 5).data
-        assert np.array_equal(out, [[2.0, 3.0], [0.0, 0.0], [4.0, 5.0], [0.0, 0.0], [0.0, 1.0]])
-
-    def test_scatter_grad(self):
-        r = rng(42)
-        idx = np.array([3, 0, 5, 1])
-        w = r.normal(size=(7, 2))
-        fd_check(lambda x: T.reduce_sum(T.mul(T.scatter(x, idx, 7), T.tensor(w))),
-                 [r.normal(size=(4, 2))])
-
-    def test_scatter_rejects_bad_index(self):
-        x = T.tensor(np.zeros((3, 2)))
-        with pytest.raises(ContractError):
-            T.scatter(x, np.array([0, 2, 0]), 4)  # repeats a row
-        with pytest.raises(ContractError):
-            T.scatter(x, np.array([0, 1, 4]), 4)
-        with pytest.raises(ShapeError):
-            T.scatter(x, np.array([0, 1]), 4)
 
 
 class TestSegments:
@@ -499,10 +538,10 @@ class TestSegments:
 
 
 class TestShapesReductions:
-    def test_reshape_transpose_grad(self):
+    def test_reshape_grad(self):
         r = rng(16)
-        w = r.normal(size=(4, 3, 2))
-        fd_check(lambda x: T.reduce_sum(T.mul(T.transpose(T.reshape(x, (2, 3, 4)), (2, 1, 0)), T.tensor(w))),
+        w = r.normal(size=(2, 3, 4))
+        fd_check(lambda x: T.reduce_sum(T.mul(T.reshape(x, (2, 3, 4)), T.tensor(w))),
                  [r.normal(size=(6, 4))])
 
     def test_reduce_sum_axis_grad(self):
@@ -626,22 +665,29 @@ class TestTape:
 class TestRetention:
     """A tape keeps only the arrays its backward reads, and is swept once."""
 
-    def test_scores_die_once_dropped(self):
+    def test_scores_die_once_dropped(self, monkeypatch):
+        # attention recomputes its probabilities in the backward: once the
+        # forward ends, no (B, heads, n, n) array is left on the tape
         r = rng(40)
-        q0, k0, w = r.normal(size=(2, 5, 4)), r.normal(size=(2, 4, 5)), r.normal(size=(2, 5, 5))
-        q, k = T.tensor(q0, requires_grad=True), T.tensor(k0, requires_grad=True)
+        q0, k0, v0, pad, allow = attention_inputs(r, [5, 3, 4])
+        w = r.normal(size=q0.shape)
+        seen = []
+        probs_of = T._probs
+
+        def spy(*args):
+            out = probs_of(*args)
+            seen.append(weakref.ref(out[0]))
+            return out
+
+        monkeypatch.setattr(T, "_probs", spy)
+        ts = [T.tensor(a, requires_grad=True) for a in (q0, k0, v0)]
         with T.Tape() as tape:
-            raw = T.matmul(q, k)
-            scaled = T.mul(raw, 0.5)
-            loss = T.reduce_sum(T.mul(T.masked_softmax(scaled), T.tensor(w)))
-            refs = [weakref.ref(raw.data), weakref.ref(scaled.data)]
-            del raw, scaled
-            assert all(ref() is None for ref in refs)
-        gq, gk = tape.gradients(loss, [q, k])
-        p = np.exp(0.5 * q0 @ k0)
-        p /= p.sum(axis=-1, keepdims=True)
-        gs = 0.5 * p * (w - (w * p).sum(axis=-1, keepdims=True))
-        assert np.allclose(gq, gs @ k0.swapaxes(1, 2)) and np.allclose(gk, q0.swapaxes(1, 2) @ gs)
+            loss = T.reduce_sum(T.mul(T.attention(*ts, 2, pad, allow), T.tensor(w)))
+        assert len(seen) == 1 and seen[0]() is None
+        held = [c.cell_contents for _, vjp in tape._nodes for c in vjp.__closure__ or ()]
+        assert not any(isinstance(a, np.ndarray) and a.shape == (3, 2, 5, 5) for a in held)
+        tape.gradients(loss, ts)
+        assert len(seen) == 2  # the backward computed them again
 
     def test_add_and_segment_max_hold_no_inputs(self):
         x = T.tensor(rng(41).normal(size=(6, 3)), requires_grad=True, dtype=np.float64)
