@@ -14,12 +14,19 @@ Layout (all integers little-endian):
 
 A record is: name (u16 length + utf-8), rank (u8), extents (rank x u32),
 then the raw float32 payload. Values are stored verbatim, so a save/load
-cycle is bit-exact. Malformed files raise ParseError naming the absolute
-byte offset where reading failed.
+cycle is bit-exact.
+
+Records stream between file and array: a save writes each array's own
+bytes to the file, and a load reads each payload straight into the array
+it returns, after checking that the file still holds that many bytes.
+Malformed files raise ParseError naming the absolute byte offset where
+reading failed; a name repeated within a table, and a moment table whose
+names or shapes differ from the parameters', are malformed too.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -35,25 +42,28 @@ MAGIC = b"PM2A"
 VERSION = 2
 
 
-def _pack_str(s):
-    raw = s.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise ContractError(f"name too long for container: {len(raw)} bytes")
-    return struct.pack("<H", len(raw)) + raw
+def _table(items):
+    """A table's chunks in file order: its count, then each record's header
+    bytes and array. Every record is checked here, before a byte is written."""
+    chunks = [struct.pack("<I", len(items))]
+    for name, arr in items:
+        if arr.dtype != np.float32:
+            raise ContractError(f"checkpoint stores float32 only; {name} is {arr.dtype}")
+        if arr.ndim > 0xFF:
+            raise ContractError(f"{name}: rank {arr.ndim} exceeds container limit")
+        raw = name.encode("utf-8")
+        if len(raw) > 0xFFFF:
+            raise ContractError(f"name too long for container: {len(raw)} bytes")
+        chunks += [struct.pack("<H", len(raw)) + raw + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape), arr]
+    return chunks
 
 
-def _pack_record(name, arr):
-    if arr.dtype != np.float32:
-        raise ContractError(f"checkpoint stores float32 only; {name} is {arr.dtype}")
-    if arr.ndim > 0xFF:
-        raise ContractError(f"{name}: rank {arr.ndim} exceeds container limit")
-    head = _pack_str(name) + struct.pack("<B", arr.ndim)
-    head += struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b""
-    return head + np.ascontiguousarray(arr, dtype="<f4").tobytes()
-
-
-def _pack_table(items):
-    return [struct.pack("<I", len(items))] + [_pack_record(name, arr) for name, arr in items]
+def _raw(arr):
+    """A contiguous array's bytes as a flat uint8 view. numpy caches the
+    format and shape of an exported buffer on the exporting array for its
+    lifetime; exporting through this throwaway view keeps that cache off the
+    caller's arrays and the loaded ones."""
+    return arr.reshape(-1).view(np.uint8)
 
 
 _MODEL_KEYS = text_keys("model", ModelConfig)
@@ -87,20 +97,32 @@ def parse_model_text(raw, path="model text", start=0):
         raise ParseError(f"{origin} is invalid: {exc}") from None
 
 
-class _Cursor:
-    def __init__(self, blob, path):
-        self.blob = blob
-        self.off = 0
-        self.path = path
+class _Reader:
+    """Reads an open container front to back, tracking the byte offset."""
 
-    def take(self, n, what):
-        if self.off + n > len(self.blob):
+    def __init__(self, fh, path):
+        self.fh = fh
+        self.path = path
+        self.size = os.fstat(fh.fileno()).st_size
+        self.off = 0
+
+    def _claim(self, n, what):
+        # checked before anything is allocated: no read wants more than the file holds
+        if self.off + n > self.size:
             raise ParseError(
                 f"{self.path}: truncated while reading {what} at byte {self.off} "
-                f"(wanted {n} bytes, file has {len(self.blob)})"
+                f"(wanted {n} bytes, file has {self.size})"
             )
-        out = self.blob[self.off:self.off + n]
+
+    def _advance(self, got, n, what):
+        if got != n:  # the file shrank while it was being read
+            raise ParseError(f"{self.path}: read {got} of {n} bytes of {what} at byte {self.off}")
         self.off += n
+
+    def take(self, n, what):
+        self._claim(n, what)
+        out = self.fh.read(n)
+        self._advance(len(out), n, what)
         return out
 
     def unpack(self, fmt, what):
@@ -116,22 +138,38 @@ class _Cursor:
         except UnicodeDecodeError as e:
             raise ParseError(f"{self.path}: {what} is not UTF-8 at byte {start + e.start}") from None
 
+    def array(self, name, shape, at):
+        """Record `name`'s float32 payload, read straight from the file into
+        its own array; `at` is the byte of the record's rank."""
+        n, what = 4 * math.prod(shape), f"{name} payload"  # exact: np.prod would wrap around
+        self._claim(n, what)
+        try:
+            out = np.empty(shape, dtype="<f4")
+        except ValueError:  # more axes than numpy gives an array
+            raise ParseError(f"{self.path}: {name} rank {len(shape)} at byte {at} exceeds numpy's limit") from None
+        self._advance(self.fh.readinto(_raw(out)), n, what)
+        return out
 
-def _read_table(cur, what):
-    count = cur.unpack("I", f"{what} count")
+
+def _read_table(rd, what):
+    count = rd.unpack("I", f"{what} count")
     out = {}
     for i in range(count):
-        name = cur.string(f"{what} record {i} name")
-        at = cur.off
-        rank = cur.unpack("B", f"{name} rank")
-        shape = tuple(cur.unpack("I", f"{name} extent") for _ in range(rank))
-        n_items = math.prod(shape)  # exact: np.prod would wrap around on huge extents
-        raw = cur.take(4 * n_items, f"{name} payload")
-        try:
-            out[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-        except ValueError:  # more axes than numpy gives an array
-            raise ParseError(f"{cur.path}: {name} rank {rank} at byte {at} exceeds numpy's limit") from None
+        start = rd.off
+        name = rd.string(f"{what} record {i} name")
+        if name in out:
+            raise ParseError(f"{rd.path}: {what} record {i} at byte {start} repeats the name {name!r}")
+        at = rd.off
+        rank = rd.unpack("B", f"{name} rank")
+        shape = tuple(rd.unpack("I", f"{name} extent") for _ in range(rank))
+        out[name] = rd.array(name, shape, at)
     return out
+
+
+def _check_shapes(path, table, expected, what=""):
+    for name, shape in expected.items():
+        if table[name].shape != tuple(shape):
+            raise ParseError(f"{path}: {what}{name} has shape {table[name].shape}, config wants {tuple(shape)}")
 
 
 def save_checkpoint(path, config, params, optimizer=None, aux=None):
@@ -140,75 +178,86 @@ def save_checkpoint(path, config, params, optimizer=None, aux=None):
     optimizer, when given, is {"step": int, "epoch": int, "m": {name: arr},
     "v": {name: arr}} with float32 arrays matching the parameter shapes.
     aux is a free name->float32-array table (classifier heads and such).
+    Each array's bytes go straight to the file; a save that fails leaves
+    `path` as it was and no `.tmp` file behind.
     """
     text = model_text(config).encode("utf-8")
-    parts = [MAGIC, struct.pack("<H", VERSION), struct.pack("<I", len(text)), text]
+    chunks = [MAGIC, struct.pack("<HI", VERSION, len(text)), text]
     names = list(param_shapes(config))
     missing = [n for n in names if n not in params]
     if missing:
         raise ContractError(f"params missing {missing[:3]} for this config")
-    parts += _pack_table([(n, params[n].data) for n in names])
+    chunks += _table([(n, params[n].data) for n in names])
     if optimizer is None:
-        parts.append(struct.pack("<B", 0))
+        chunks.append(struct.pack("<B", 0))
     else:
-        parts.append(struct.pack("<BQQ", 1, int(optimizer["step"]), int(optimizer["epoch"])))
-        parts += _pack_table([(n, optimizer["m"][n]) for n in names])
-        parts += _pack_table([(n, optimizer["v"][n]) for n in names])
+        chunks.append(struct.pack("<BQQ", 1, int(optimizer["step"]), int(optimizer["epoch"])))
+        chunks += _table([(n, optimizer["m"][n]) for n in names])
+        chunks += _table([(n, optimizer["v"][n]) for n in names])
     if aux is None:
-        parts.append(struct.pack("<B", 0))
+        chunks.append(struct.pack("<B", 0))
     else:
         arrs = {n: (np.asarray(a) if isinstance(a, np.ndarray) else a.data) for n, a in aux.items()}
-        parts.append(struct.pack("<B", 1))
-        parts += _pack_table(sorted(arrs.items()))
+        chunks.append(struct.pack("<B", 1))
+        chunks += _table(sorted(arrs.items()))
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(b"".join(parts))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk if isinstance(chunk, bytes) else _raw(np.ascontiguousarray(chunk, dtype="<f4")))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
     """Read a container; returns (config, params, optimizer-or-None, aux-or-None).
 
     Parameters come back as float32 Tensors with requires_grad set, in the
-    canonical creation order, verified against the embedded config.
+    canonical creation order, verified against the embedded config; the
+    moment tables must match them name for name and shape for shape.
     """
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            return _read_container(_Reader(fh, str(path)))
     except OSError as e:
         raise ParseError(f"{path}: cannot read checkpoint ({e.strerror})") from e
-    cur = _Cursor(blob, str(path))
-    if cur.take(4, "magic") != MAGIC:
+
+
+def _read_container(rd):
+    path = rd.path
+    if rd.take(4, "magic") != MAGIC:
         raise ParseError(f"{path}: bad magic at byte 0, not a checkpoint container")
-    version = cur.unpack("H", "version")
+    version = rd.unpack("H", "version")
     if version != VERSION:
         raise ParseError(f"{path}: unsupported container version {version} at byte 4")
-    size = cur.unpack("I", "config length")
-    start = cur.off
-    config = parse_model_text(cur.take(size, "config text"), path, start)
-    table = _read_table(cur, "parameter")
+    size = rd.unpack("I", "config length")
+    start = rd.off
+    config = parse_model_text(rd.take(size, "config text"), path, start)
+    table = _read_table(rd, "parameter")
     expected = param_shapes(config)
     if set(table) != set(expected):
         gone = sorted(set(expected) - set(table))[:3]
         alien = sorted(set(table) - set(expected))[:3]
         raise ParseError(f"{path}: parameter table mismatch (missing {gone}, unexpected {alien})")
-    for name, shape in expected.items():
-        if table[name].shape != tuple(shape):
-            raise ParseError(f"{path}: {name} has shape {table[name].shape}, config wants {tuple(shape)}")
+    _check_shapes(path, table, expected)
     params = {n: T.tensor(table[n], requires_grad=True) for n in expected}
     optimizer = None
-    if cur.unpack("B", "optimizer flag") == 1:
-        step = cur.unpack("Q", "optimizer step")
-        epoch = cur.unpack("Q", "optimizer epoch")
-        m = _read_table(cur, "first-moment")
-        v = _read_table(cur, "second-moment")
+    if rd.unpack("B", "optimizer flag") == 1:
+        step = rd.unpack("Q", "optimizer step")
+        epoch = rd.unpack("Q", "optimizer epoch")
+        m = _read_table(rd, "first-moment")
+        v = _read_table(rd, "second-moment")
         for part, label in ((m, "first"), (v, "second")):
             if set(part) != set(expected):
                 raise ParseError(f"{path}: {label}-moment table does not match parameters")
+            _check_shapes(path, part, expected, f"{label}-moment ")
         optimizer = {"step": step, "epoch": epoch, "m": m, "v": v}
     aux = None
-    if cur.unpack("B", "aux flag") == 1:
-        aux = _read_table(cur, "auxiliary")
-    if cur.off != len(blob):
-        raise ParseError(f"{path}: {len(blob) - cur.off} trailing bytes after byte {cur.off}")
+    if rd.unpack("B", "aux flag") == 1:
+        aux = _read_table(rd, "auxiliary")
+    if rd.off != rd.size:
+        raise ParseError(f"{path}: {rd.size - rd.off} trailing bytes after byte {rd.off}")
     return config, params, optimizer, aux

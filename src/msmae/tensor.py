@@ -274,8 +274,8 @@ def _gelu(d, slope):
     that gelu and mlp share, so both give the same bits.
 
     The slope is 0.5*(1 + t) + 0.5*d*(1 - t*t)*GELU_C0*(1 + 3*GELU_C1*d*d)
-    with t the tanh, computed in place but in that expression's operation
-    order. Returns (values, slope or None).
+    with t the tanh, computed in four buffers but in that expression's
+    operation order. Returns (values, slope or None).
     """
     # the tanh argument GELU_C0*(d + GELU_C1*d*d*d) in one buffer, in that
     # expression's operation order
@@ -285,22 +285,22 @@ def _gelu(d, slope):
     np.add(d, t, out=t)
     t *= GELU_C0
     np.tanh(t, out=t)
+    buf = np.multiply(t, t) if slope else None  # t*t, before t becomes 1 + t
+    t += 1.0
     data = 0.5 * d
-    data *= 1.0 + t
+    data *= t
     if not slope:
         return data, None
-    inner = (3.0 * GELU_C1) * d
-    inner *= d
-    inner += 1.0
-    local = 0.5 * d
-    buf = t * t
     np.subtract(1.0, buf, out=buf)
+    local = 0.5 * d
     local *= buf
     local *= GELU_C0
-    local *= inner
-    np.add(t, 1.0, out=buf)
-    buf *= 0.5
-    local += buf
+    np.multiply(3.0 * GELU_C1, d, out=buf)  # 1 + 3*GELU_C1*d*d
+    buf *= d
+    buf += 1.0
+    local *= buf
+    t *= 0.5
+    local += t
     return data, local
 
 

@@ -99,6 +99,24 @@ class TestPretrain:
         assert "has no run digest" in capsys.readouterr().err
         assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
+    @pytest.mark.parametrize("table, label, shape", [("m", "first", (1,)), ("v", "second", (3,))])
+    def test_resume_refuses_moments_of_another_shape(self, tmp_path, capsys, table, label, shape):
+        out = tmp_path / "run"
+        two_epochs = ["--training.epochs", "2", "--training.checkpoint_every", "1"]
+        assert run_pretrain(out, extra=two_epochs) == 0
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        config, params, packed, aux = load_checkpoint(out / "checkpoint_epoch0001.pm2a")
+        packed[table]["embed.mlp1.b0"] = np.zeros(shape, np.float32)
+        save_checkpoint(tmp_path / "bad.pm2a", config, params, optimizer=packed, aux=aux)
+        capsys.readouterr()
+        code = run_pretrain(out, extra=[*two_epochs, "--resume", str(tmp_path / "bad.pm2a")])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err, err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, err
+        assert f"{label}-moment embed.mlp1.b0 has shape {shape}, config wants (16,)" in errors[0]
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
     @pytest.mark.parametrize("spellings", [
         (["--seed", "3"], ["--run.seed", "3"]),
         (["--seed", "3", "--run.seed", "5"], ["--run.seed", "3"]),  # the flag wins

@@ -358,42 +358,59 @@ class TestReadersUnderMutation:
     """Every file reader either loads a damaged file or raises ParseError.
 
     Each case is a fixed-seed series of one-byte overwrites and truncations
-    of one valid file. Half the positions fall in the first 4 KiB, where a
-    checkpoint keeps its header and the names and extents of its first
-    records; the rest anywhere in the file.
+    of one valid file. Half the positions (overwrites all) fall in a 4 KiB
+    window, the rest anywhere in the file. The window is the first 4 KiB,
+    where a checkpoint keeps its header and the names and extents of its
+    first records. A training checkpoint (`pm2a-train`, with optimizer and
+    aux tables) alternates it with the 4 KiB from its optimizer flag (step,
+    epoch and the first first-moment records) and its last 4 KiB (the last
+    second-moment records and the aux table).
     """
 
     CASES = 400
-    KINDS = ("pm2a", "pcb", "xyz", "tsv")
+    KINDS = ("pm2a", "pcb", "xyz", "tsv", "pm2a-train")
 
     def files(self, kind, tmp_path):
+        """The valid file of `kind`, its reader and where its windows start."""
         from msmae.checkpoint import load_checkpoint, save_checkpoint
         from msmae.config import load_run_config
         from msmae.model import Model
         rc = load_run_config(None)
         recs = D.make_dataset(rc.data)[0]
         path = tmp_path / f"valid.{kind}"
-        if kind == "pm2a":
-            save_checkpoint(path, rc.model, Model.init(rc.model, seed=0).params)
-            return path, load_checkpoint
+        if kind.startswith("pm2a"):
+            params = Model.init(rc.model, seed=0).params
+            save_checkpoint(path, rc.model, params)
+            if kind == "pm2a":
+                return path, load_checkpoint, [0]
+            flag = path.stat().st_size - 2  # the optimizer flag, then the aux flag
+            rng = np.random.default_rng(0)
+            moments = {"step": 12, "epoch": 1,
+                       "m": {n: rng.normal(size=p.shape).astype(np.float32) for n, p in params.items()},
+                       "v": {n: rng.random(p.shape).astype(np.float32) for n, p in params.items()}}
+            aux = {"head.w": rng.normal(size=(16, 5)).astype(np.float32),
+                   "run.digest": np.arange(16, dtype=np.float32)}
+            save_checkpoint(path, rc.model, params, optimizer=moments, aux=aux)
+            return path, load_checkpoint, [0, flag, path.stat().st_size - 4096]
         if kind == "pcb":
             D.save_pcb(path, recs[0].points)
-            return path, D.load_pcb
+            return path, D.load_pcb, [0]
         if kind == "xyz":
             D.save_xyz(path, recs[0].points, comment="one desk cloud")
-            return path, D.load_xyz
+            return path, D.load_xyz, [0]
         D.save_labels(path, {r.id: r.label for r in recs})
-        return path, D.load_labels
+        return path, D.load_labels, [0]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_loads_or_raises_parse_error(self, kind, tmp_path):
-        path, load = self.files(kind, tmp_path)
+        path, load, windows = self.files(kind, tmp_path)
         blob = path.read_bytes()
         rng = np.random.default_rng(self.KINDS.index(kind))
         damaged, escaped = tmp_path / f"damaged.{kind}", []
         for case in range(self.CASES):
+            start = 0 if case % 2 else windows[case // 2 % len(windows)]
             end = len(blob) if case % 2 else min(len(blob), 4096)
-            pos = int(rng.integers(0, end))
+            pos = start + int(rng.integers(0, end))
             if case % 4 == 3:
                 damaged.write_bytes(blob[:pos])
                 what = f"truncated at byte {pos}"

@@ -694,6 +694,124 @@ class TestCheckpoints:
         with pytest.raises(ContractError):
             save_checkpoint(tmp_path / "m.pm2a", SMALL, m.params)
 
+    def test_repeated_record_name_refused(self, tmp_path):
+        # a parameter table of N+1 records whose first name repeats: the later
+        # record must not silently win
+        from msmae.checkpoint import load_checkpoint
+        from msmae.errors import ParseError
+        path, blob, name = self.first_record(tmp_path)
+        count, first = name - 6, name - 2
+        size = 2 + len(b"embed.mlp1.w0") + 1 + 2 * 4 + 4 * 3 * 16
+        n = int.from_bytes(blob[count:first], "little")
+        path.write_bytes(blob[:count] + (n + 1).to_bytes(4, "little") + blob[first:first + size]
+                         + blob[first:])
+        with pytest.raises(ParseError, match=f"parameter record 1 at byte {first + size} "
+                                             "repeats the name 'embed.mlp1.w0'"):
+            load_checkpoint(path)
+
+    def test_file_that_shrinks_while_read_is_refused(self, tmp_path, monkeypatch):
+        # the size is taken once, at open; a payload read that then comes up
+        # short must not leave part of an array unread
+        from msmae import checkpoint
+        from msmae.errors import ParseError
+        path, blob, name = self.first_record(tmp_path)
+        payload = name + len(b"embed.mlp1.w0") + 1 + 2 * 4
+        short = tmp_path / "short.pm2a"
+        short.write_bytes(blob[:payload + 100])
+
+        class Shrunk:
+            """The full file's size, the shortened file's bytes."""
+
+            def __init__(self):
+                self.full, self.fh = open(path, "rb"), open(short, "rb")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.full.close()
+                self.fh.close()
+
+            def fileno(self):
+                return self.full.fileno()
+
+            def read(self, n):
+                return self.fh.read(n)
+
+            def readinto(self, buf):
+                return self.fh.readinto(buf)
+
+        monkeypatch.setattr(checkpoint, "open", lambda *a, **kw: Shrunk(), raising=False)
+        with pytest.raises(ParseError, match=f"read 100 of 192 bytes of embed.mlp1.w0 payload at byte {payload}"):
+            checkpoint.load_checkpoint(path)
+
+    def test_failed_save_leaves_no_tmp(self, tmp_path, monkeypatch):
+        import errno
+
+        from msmae import checkpoint
+        path = tmp_path / "model.pm2a"
+        checkpoint.save_checkpoint(path, SMALL, M.Model.init(SMALL, seed=0).params)
+        before = path.read_bytes()
+
+        class DiskFull:
+            """A file that takes 1,000 bytes, then fails as a full disk does."""
+
+            def __init__(self, fh):
+                self.fh, self.room = fh, 1000
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, chunk):
+                raw = bytes(chunk)
+                self.fh.write(raw[:self.room])
+                if len(raw) > self.room:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.room -= len(raw)
+
+        monkeypatch.setattr(checkpoint, "open", lambda *a, **kw: DiskFull(open(*a, **kw)), raising=False)
+        with pytest.raises(OSError) as exc:
+            checkpoint.save_checkpoint(path, SMALL, M.Model.init(SMALL, seed=1).params)
+        assert exc.value.errno == errno.ENOSPC
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["model.pm2a"]
+
+    def test_load_and_save_hold_no_copy(self, tmp_path):
+        # a save writes the caller's arrays without copying them; a load
+        # holds, at its peak, the arrays it returns and little else. What it
+        # returns besides their bytes (array headers, names, dicts) is held
+        # to 512 bytes a record.
+        from msmae.checkpoint import load_checkpoint, save_checkpoint
+        rc = load_run_config(None)
+        params = M.Model.init(rc.model, seed=0).params
+        rng = np.random.default_rng(0)
+        moments = {"step": 12, "epoch": 1,
+                   "m": {n: rng.normal(size=p.shape).astype(np.float32) for n, p in params.items()},
+                   "v": {n: rng.random(p.shape).astype(np.float32) for n, p in params.items()}}
+        aux = {"head.w": rng.normal(size=(128, 5)).astype(np.float32),
+               "run.digest": np.arange(16, dtype=np.float32)}
+        path, slack = tmp_path / "train.pm2a", 64 * 1024
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            save_checkpoint(path, rc.model, params, optimizer=moments, aux=aux)
+            save_peak = tracemalloc.get_traced_memory()[1] - held
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            _, loaded, opt, aux2 = load_checkpoint(path)
+            kept, load_peak = (n - held for n in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        arrays = [*(p.data for p in loaded.values()), *opt["m"].values(), *opt["v"].values(), *aux2.values()]
+        returned = sum(a.nbytes for a in arrays)
+        assert returned == 3 * sum(p.data.nbytes for p in params.values()) + (128 * 5 + 16) * 4
+        assert save_peak <= slack, save_peak
+        assert kept <= returned + 512 * len(arrays), (kept, returned)
+        assert load_peak <= kept + slack, (load_peak, kept)
+
 
 class TestPacking:
     """A packed batch is the mean of its clouds run one at a time."""
