@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: ConfigError and ParseError are user
 errors (exit 2), NumericError is a runtime numeric failure (exit 3).
-InvariantError signals an internal bug and is never caught.
+InvariantError signals an internal bug and is never caught, nor is
+WorkerError, a training worker process that died mid-run (exit 1).
 """
 
 
@@ -28,6 +29,10 @@ class ParseError(MsmaeError):
 
 class NumericError(MsmaeError):
     """Non-finite value where a finite one is required (e.g. training loss)."""
+
+
+class WorkerError(MsmaeError):
+    """The gradient worker process ended mid-run (training.tape_worker)."""
 
 
 class InvariantError(MsmaeError):

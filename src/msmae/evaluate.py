@@ -6,14 +6,16 @@ involved. Features are standardized with train-split statistics first.
 Few-shot evaluation draws K-way (N support + 20 query)-per-class episodes
 from precomputed features. Finetuning puts a 3-layer MLP head on the
 pooled global feature and trains it, optionally with the encoder, in
-pretraining's loop (training.batches, tape_gradients, apply_step). An
+pretraining's loop (training.batches, tape_worker, apply_step). An
 end-to-end step trains the encoder_shapes parameters and the head, the
 ones the loss reaches, so the decoder leaves finetuning as it was. The
 train clouds' ScaleIndex is built once per run (model.hierarchy_index),
 as feature extraction builds its records'; a step puts its batch's picks
 and tables on the clouds, then runs FINETUNE_TAPE_CLOUDS (eight) clouds per
 tape, their token rows packed as in pretraining; more clouds per tape
-would hold more activations at once.
+would hold more activations at once. With two usable CPUs, a worker
+process runs the later half of each step's tapes (training.tape_worker),
+with the same bits.
 EvalConfig holds the settings of all three: the run's [eval] section.
 """
 
@@ -28,7 +30,7 @@ from . import tensor as T
 from .errors import ConfigError, ContractError, NumericError
 from .model import encode_batch, encoder_shapes, hierarchy, hierarchy_index, init_params, pool_tokens
 from .rng import derive_rng
-from .training import OptimizerState, Schedule, apply_step, batches, tape_gradients
+from .training import OptimizerState, Schedule, apply_step, batches, tape_worker
 from .training import adamw_step  # kept: perfbench/tracing.py rebinds evaluate.adamw_step
 
 
@@ -217,8 +219,9 @@ def finetune(model, train_records, val_records, num_classes, ec, seed=0):
     weight decay and the final learning rate are the OptimizerState and
     Schedule defaults. seed draws the head and the shuffles. Masking
     is off throughout: features come from the full cloud. A step's
-    gradient is the batch mean, from FINETUNE_TAPE_CLOUDS clouds per tape
-    (training.tape_gradients). End to end, the head and the encoder_shapes
+    gradient is the batch mean, from FINETUNE_TAPE_CLOUDS clouds per tape,
+    the later half of the tapes in a worker process where two CPUs are
+    usable (training.tape_worker). End to end, the head and the encoder_shapes
     parameters train, and each train cloud's hierarchy is built once,
     before the first step, since finetuning never augments; the decoder,
     mask token and reconstruction head are bit-identical afterwards. With
@@ -242,18 +245,18 @@ def finetune(model, train_records, val_records, num_classes, ec, seed=0):
     sched = Schedule(base_lr=ec.finetune_lr, warmup_epochs=ec.finetune_warmup_epochs,
                      total_epochs=ec.finetune_epochs, steps_per_epoch=len(records) // batch_size)
     labels = np.asarray([r.label for r in records])
-    for epoch, rows in batches(len(records), batch_size, seed, 0, ec.finetune_epochs):
-        if frozen:
-            features = lambda part: T.tensor(cached[rows][part])
-        else:
-            repr, assignment = hierarchy(model.config, [records[i].points for i in rows.tolist()],
-                                         index=index[rows])
-            features = lambda part: pool_tokens(encode_batch(
-                model.params, model.config, repr[part], assignment[part])[-1], len(rows[part]))
-        loss, grads = tape_gradients(
-            lambda part: T.softmax_cross_entropy(head_forward(head, features(part)), labels[rows][part]),
-            len(rows), trainable, FINETUNE_TAPE_CLOUDS)
-        apply_step(trainable, grads, opt, sched, loss, epoch, "finetune")
+
+    def loss_of(labels, *features):  # the cached features, or a repr and its assignment
+        pooled = T.tensor(features[0]) if frozen else pool_tokens(
+            encode_batch(model.params, model.config, *features)[-1], len(labels))
+        return T.softmax_cross_entropy(head_forward(head, pooled), labels)
+
+    with tape_worker(loss_of, trainable, FINETUNE_TAPE_CLOUDS, batch_size) as gradients:
+        for epoch, rows in batches(len(records), batch_size, seed, 0, ec.finetune_epochs):
+            features = (cached[rows],) if frozen else hierarchy(
+                model.config, [records[i].points for i in rows.tolist()], index=index[rows])
+            loss, grads = gradients((labels[rows], *features))
+            apply_step(trainable, grads, opt, sched, loss, epoch, "finetune")
     val = sorted(val_records, key=lambda r: r.id)
     logits = head_forward(head, T.tensor(extract_features(model, val).astype(np.float32))).data
     labels = np.asarray([r.label for r in val])

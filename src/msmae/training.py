@@ -11,10 +11,13 @@ the uninterrupted one line for line, even after a resume that was killed.
 
 Pretraining and finetuning share one optimizer loop: batches walks the
 epochs' shuffled batches, tape_gradients gives a batch's mean loss and
-gradients, and apply_step checks the loss and steps AdamW. Pretraining
-runs the whole batch on a single tape, its clouds' token rows packed
-together (model.forward_pretrain_batch), so the mean of the per-cloud
-losses gives the batch-mean gradient directly.
+gradients from its tape groups, and apply_step checks the loss and steps
+AdamW. Pretraining runs a batch in PRETRAIN_TAPE_GROUPS (two) groups,
+each group's clouds' token rows packed together on one tape
+(model.forward_pretrain_batch). On a machine with two usable CPUs,
+tape_worker forks one worker process per loop that runs the later half
+of every step's groups; this process sums the groups in group order, so
+the bits are those of one process.
 
 Each record's hierarchy is built once per run, from its stored
 coordinates (model.hierarchy_index), and every step gathers its seeds
@@ -25,19 +28,24 @@ same points, so the cache stands in for a build on the augmented cloud.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import mmap
 import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import ONE_BLAS_THREAD
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .codec import derived, format_value
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ConfigError, ContractError, NumericError, WorkerError
 from .model import forward_pretrain_batch, hierarchy_index
 from .rng import derive_rng
 
@@ -135,30 +143,169 @@ def batches(n, batch_size, seed, start_epoch, epochs):
             yield epoch, order[b * batch_size:(b + 1) * batch_size]
 
 
-def tape_gradients(loss_of, m, params, group=None):
-    """(loss, gradients in params order) of the mean loss over m batch rows.
+# Tapes per pretraining batch: one for this process and one for the gradient
+# worker, so a step uses two CPUs. Fixed by the batch, never by the CPU count,
+# since the groups set the float order of the gradient sum.
+PRETRAIN_TAPE_GROUPS = 2
 
-    loss_of(part) records on the open tape the mean loss of the rows in
-    the slice `part`. Slices of `group` rows run on a tape each, weighed
-    by nb / m, and their losses and gradients are summed. A batch on one
-    tape adds no weighing node and copies no gradient.
-    """
-    group = group or m
+
+def _tape_groups(inputs, group):
+    """Each consecutive `group` rows of the row-aligned inputs, sliced."""
+    return [tuple(x[lo:lo + group] for x in inputs) for lo in range(0, len(inputs[0]), group)]
+
+
+def _tape(loss_of, part, m, params):
+    """(loss, gradients in params order) of one tape group of a batch of m
+    rows: loss_of(*part) on a tape of its own, weighed by its share."""
+    n = len(part[0])
+    with T.Tape() as tape:
+        loss = loss_of(*part)
+        if n < m:
+            loss = T.mul(loss, n / m)
+    return float(loss.data), tape.gradients(loss, list(params.values()))
+
+
+def _fold(tapes):
+    """Sum of the (loss, gradients) pairs of a batch's groups, in group order."""
     loss_sum, total = 0.0, None
-    for lo in range(0, m, group):
-        nb = min(group, m - lo)
-        with T.Tape() as tape:
-            loss = loss_of(slice(lo, lo + nb))
-            if nb < m:
-                loss = T.mul(loss, nb / m)
-        loss_sum += float(loss.data)
-        grads = tape.gradients(loss, list(params.values()))
-        if total is None:  # copies: two gradients may share one array
-            total = grads if nb == m else [g.copy() for g in grads]
+    for loss, grads in tapes:
+        loss_sum += loss
+        if total is None:  # copies: two gradients may share one array, and a worker reuses its slots
+            total = grads if len(tapes) == 1 else [g.copy() for g in grads]
         else:
             for acc, g in zip(total, grads):
                 acc += g
     return loss_sum, total
+
+
+def tape_gradients(loss_of, inputs, params, group):
+    """(loss, gradients in params order) of the mean loss over a batch.
+
+    inputs holds the batch's row-aligned inputs, each sliceable, inputs[0]
+    with one entry per row. Each consecutive `group` rows run on a tape of
+    their own: loss_of(*inputs sliced to those rows) records their mean
+    loss, weighed by their share of the batch, and the groups' losses and
+    gradients are summed in group order. A batch on one tape adds no
+    weighing node and copies no gradient.
+    """
+    m = len(inputs[0])
+    return _fold([_tape(loss_of, part, m, params) for part in _tape_groups(inputs, group)])
+
+
+@contextlib.contextmanager
+def tape_worker(loss_of, params, group, batch):
+    """A function of a batch's inputs that gives tape_gradients(loss_of,
+    inputs, params, group), the later half of the groups run by a worker
+    process forked here, once per loop.
+
+    The worker inherits everything loss_of reads. params move into one
+    shared anonymous mapping for the loop, so the worker reads each
+    in-place AdamW update where it is made; each step pipes it only its
+    groups' inputs, and it writes each group's gradient to a shared slot of
+    its own and replies with the losses. Gradients are summed in group
+    order, so the split changes no bit. Without os.fork, two usable CPUs, a
+    later half or numpy at one BLAS thread (msmae.ONE_BLAS_THREAD), every
+    group runs here. An exception in a worker group is raised here, as its
+    class; a dead worker raises WorkerError. Leaving kills and reaps the
+    worker, however the loop ends, and copies params out of the mapping
+    into arrays of their own; the worker exits by itself if its pipe
+    closes. The arrays params held before are let go for the loop, which
+    lowers both processes' peak memory.
+    """
+    slots = -(-batch // group) // 2  # groups of a batch that the worker runs
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if not (slots and hasattr(os, "fork") and cpus >= 2 and ONE_BLAS_THREAD):
+        yield lambda inputs: tape_gradients(loss_of, inputs, params, group)
+        return
+    tensors = list(params.values())
+    offsets = np.cumsum([0] + [-(-t.data.nbytes // 64) * 64 for t in tensors]).tolist()
+    mem = mmap.mmap(-1, offsets[-1] * (1 + slots))
+    regions = [[np.ndarray(t.shape, t.dtype, mem, r * offsets[-1] + o) for t, o in zip(tensors, offsets)]
+               for r in range(1 + slots)]
+    for t, view in zip(tensors, regions[0]):
+        view[...] = t.data
+        t.data = view
+    pid = None
+    try:
+        requests, replies = os.pipe(), os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(requests[1])
+                os.close(replies[0])
+                _serve(loss_of, params, regions[1:], requests[0], replies[1])
+                code = 0
+            finally:
+                os._exit(code)  # never back into the caller's frames, buffers or exit handlers
+        os.close(requests[0])
+        os.close(replies[1])
+        with open(requests[1], "wb") as send, open(replies[0], "rb") as receive:
+
+            def lost():
+                nonlocal pid
+                _, status = os.waitpid(pid, 0)
+                dead, pid = pid, None
+                raise WorkerError(f"gradient worker {dead} ended mid-run ({_ended(status)})")
+
+            def gradients(inputs):
+                m = len(inputs[0])
+                parts = _tape_groups(inputs, group)
+                mine = len(parts) - slots
+                try:
+                    pickle.dump((m, parts[mine:]), send, pickle.HIGHEST_PROTOCOL)
+                    send.flush()
+                except BrokenPipeError:
+                    lost()
+                tapes = [_tape(loss_of, part, m, params) for part in parts[:mine]]
+                try:
+                    reply = pickle.load(receive)
+                except EOFError:
+                    lost()
+                if isinstance(reply, BaseException):
+                    raise reply
+                return _fold(tapes + list(zip(reply, regions[1:])))
+
+            yield gradients
+    finally:
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for t in tensors:
+            t.data = t.data.copy()
+
+
+def _ended(status):
+    if os.WIFSIGNALED(status):
+        return f"killed by signal {os.WTERMSIG(status)}"
+    return f"exit code {os.waitstatus_to_exitcode(status)}"
+
+
+def _serve(loss_of, params, slot_views, rfd, wfd):
+    """The worker's loop: tape groups in from rfd, losses out to wfd,
+    gradients into slot_views, until rfd reaches its end."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+    with open(rfd, "rb") as requests, open(wfd, "wb") as replies:
+        while True:
+            try:
+                m, parts = pickle.load(requests)
+            except EOFError:
+                return
+            try:
+                losses = []
+                for part, slot in zip(parts, slot_views):
+                    loss, grads = _tape(loss_of, part, m, params)
+                    for dst, g in zip(slot, grads):
+                        np.copyto(dst, g, casting="no")
+                    losses.append(loss)
+                reply = pickle.dumps(losses)
+            except Exception as exc:  # the parent raises it, as its class
+                try:
+                    reply = pickle.dumps(exc)
+                except Exception:
+                    reply = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+            replies.write(reply)
+            replies.flush()
 
 
 def apply_step(params, grads, opt, sched, loss, epoch, what, grad_clip=0.0):
@@ -313,7 +460,12 @@ def train(model, records, tc, resume=None, snapshot=None):
     metrics_path = os.path.join(tc.out_dir, "metrics.jsonl")
     kept = _kept_bytes(metrics_path, opt.step) if resume is not None else 0
     last_loss = math.nan
-    with open(metrics_path, "a") as metrics:
+
+    def loss_of(rows, clouds, mask_rngs):
+        return forward_pretrain_batch(model.params, model.config, clouds, mask_rngs, index[rows])
+
+    with tape_worker(loss_of, model.params, -(-tc.batch_size // PRETRAIN_TAPE_GROUPS),
+                     tc.batch_size) as gradients, open(metrics_path, "a") as metrics:
         metrics.truncate(kept)  # kept lines stay on disk, however this run ends
         for epoch, rows in batches(len(records), tc.batch_size, tc.seed, start_epoch, tc.epochs):
             t0 = time.monotonic()
@@ -323,9 +475,7 @@ def train(model, records, tc, resume=None, snapshot=None):
                 clouds = [augment(pts, derive_rng(tc.seed, "augment", epoch, i), tc.scale_range,
                                   tc.shift_range) for pts, i in zip(clouds, rows)]
             mask_rngs = [derive_rng(tc.seed, "mask", epoch, i) for i in rows]
-            loss, grads = tape_gradients(lambda part: forward_pretrain_batch(
-                model.params, model.config, clouds[part], mask_rngs[part], index[rows][part]),
-                len(rows), model.params)
+            loss, grads = gradients((rows, clouds, mask_rngs))
             lr = apply_step(model.params, grads, opt, sched, loss, epoch, "training", tc.grad_clip)
             last_loss = loss
             wall = 0 if tc.test_mode else int((time.monotonic() - t0) * 1000)

@@ -268,17 +268,15 @@ class TestFinetune:
             **{n: model.params[n] for n in M.encoder_shapes(TINY)}, **head}
         feats = E.extract_features(model, recs) if frozen else None
 
+        def loss_of(labels, *features):
+            pooled = T.tensor(features[0]) if frozen else M.pool_tokens(
+                M.encode_batch(model.params, TINY, *features)[-1], len(labels))
+            return T.softmax_cross_entropy(E.head_forward(head, pooled), labels)
+
         def gradients(rows):
-            if frozen:
-                features = lambda part: T.tensor(feats[rows][part])
-            else:
-                repr, asg = M.hierarchy(TINY, [recs[i].points for i in rows])
-                features = lambda part: M.pool_tokens(M.encode_batch(
-                    model.params, TINY, repr[part], asg[part])[-1], len(rows[part]))
-            return TR.tape_gradients(
-                lambda part: T.softmax_cross_entropy(E.head_forward(head, features(part)),
-                                                     labels[rows][part]),
-                len(rows), trainable, E.FINETUNE_TAPE_CLOUDS)
+            features = (feats[rows],) if frozen else M.hierarchy(TINY, [recs[i].points for i in rows])
+            return TR.tape_gradients(loss_of, (labels[rows], *features), trainable,
+                                     E.FINETUNE_TAPE_CLOUDS)
 
         loss, packed = gradients(list(range(len(recs))))
         singles = [gradients([i]) for i in range(len(recs))]

@@ -16,7 +16,7 @@ from msmae import tensor as T
 from msmae import training as TR
 from msmae.config import load_run_config, make_train_config
 from msmae.data import DataConfig, make_dataset
-from msmae.errors import ConfigError, ContractError, NumericError
+from msmae.errors import ConfigError, ContractError, NumericError, WorkerError
 from msmae.evaluate import EvalConfig
 from msmae.masking import build_index
 from msmae.rng import derive_rng
@@ -241,20 +241,20 @@ class TestSharedLoop:
         model = M.Model.init(TINY, seed=3, dtype=np.float64)
         clouds = [r.points for r in tiny_records(5)]
 
-        def loss_of(rngs):
-            return lambda part: M.forward_pretrain_batch(model.params, TINY, clouds[part], rngs[part])
+        def loss_of(clouds, rngs):
+            return M.forward_pretrain_batch(model.params, TINY, clouds, rngs)
 
         def rngs():
             return [derive_rng(0, "mask", 0, i) for i in range(5)]
 
         with T.Tape() as tape:
-            plain = loss_of(rngs())(slice(0, 5))
+            plain = loss_of(clouds, rngs())
         plain_grads = tape.gradients(plain, list(model.params.values()))
-        loss, want = TR.tape_gradients(loss_of(rngs()), 5, model.params)
+        loss, want = TR.tape_gradients(loss_of, (clouds, rngs()), model.params, 5)
         # one tape is the plain tape: no weighing node, the same bits
         assert loss == float(plain.data)
         assert all(w.tobytes() == p.tobytes() for w, p in zip(want, plain_grads))
-        grouped, got = TR.tape_gradients(loss_of(rngs()), 5, model.params, group=2)
+        grouped, got = TR.tape_gradients(loss_of, (clouds, rngs()), model.params, 2)
         assert abs(grouped - loss) <= 1e-9 * loss
         scale = max(np.abs(w).max() for w in want)
         assert len(got) == len(model.params)
@@ -373,6 +373,7 @@ class TestTrainLoop:
         with pytest.raises(NumericError) as exc:
             TR.train(model, records, self.make_tc(tmp_path, batch_size=4))
         assert "step 0" in str(exc.value)
+        assert_no_child()
 
     def test_checkpoints_written_and_resume_bit_exact(self, tmp_path):
         from msmae.checkpoint import load_checkpoint
@@ -537,3 +538,163 @@ TR.train(M.Model.init(TINY, seed=0), tiny_records(12), tc, resume={str(ckpt)!r})
             TR.train(model, records, self.make_tc(out, epochs=2, grad_clip=clip))
             texts.append((out / "metrics.jsonl").read_text())
         assert texts[0] != texts[1]
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTapeWorker:
+    """training.tape_worker: the later half of each step's tape groups in a
+    forked process, on machines with two usable CPUs."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """use(n) makes the loop see n CPUs and returns the list that
+        collects the pid of each worker forked from then on."""
+        forked, fork = [], os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+
+        def use(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+            forked.clear()
+            return forked
+        return use
+
+    def run_pretrain(self, out):
+        tc = TR.TrainConfig(epochs=2, batch_size=4, warmup_epochs=0, seed=5, test_mode=True,
+                            checkpoint_every=1, out_dir=str(out))
+        TR.train(M.Model.init(TINY, seed=0), tiny_records(8), tc)
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def run_finetune(self, out, frozen):
+        from msmae.checkpoint import save_checkpoint
+        records = tiny_records(40)
+        # 32 clouds a step: four tape groups of FINETUNE_TAPE_CLOUDS, the last two the
+        # worker's, summed ((g0 + g1) + g2) + g3
+        ec = EvalConfig(finetune_epochs=2, finetune_batch_size=32, finetune_warmup_epochs=0,
+                        freeze_encoder=frozen)
+        model = M.Model.init(TINY, seed=0)
+        res, head = E.finetune(model, records[:32], records[32:], num_classes=2, ec=ec, seed=2)
+        save_checkpoint(out / "checkpoint_finetuned.pm2a", model.config, model.params, aux=head)
+        return {"result": json.dumps(res.as_dict()).encode(),
+                "checkpoint": (out / "checkpoint_finetuned.pm2a").read_bytes()}
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "frozen finetune"])
+    def test_one_cpu_gives_the_worker_bytes(self, tmp_path, cpus, command):
+        outs = []
+        for n in (1, 2):
+            forked = cpus(n)
+            out = tmp_path / str(n)
+            out.mkdir()
+            if command == "pretrain":
+                outs.append(self.run_pretrain(out))
+            else:
+                outs.append(self.run_finetune(out, frozen=command.startswith("frozen")))
+            assert len(forked) == n - 1
+        assert list(outs[0]) == list(outs[1])
+        for name in outs[0]:
+            assert outs[0][name] == outs[1][name], name
+        assert_no_child()
+
+    def test_params_leave_the_shared_mapping_trained(self, cpus):
+        # the loop moves the trainable parameters into memory it shares with
+        # the worker, and into arrays of their own when it ends
+        forked = cpus(2)
+        model = M.Model.init(TINY, seed=0)
+        before = {n: p.data.copy() for n, p in model.params.items()}
+        ec = EvalConfig(finetune_epochs=1, finetune_batch_size=16, finetune_warmup_epochs=0)
+        records = tiny_records(24)
+        E.finetune(model, records[:20], records[20:], num_classes=2, ec=ec)
+        assert len(forked) == 1
+        assert all(p.data.flags.owndata for p in model.params.values())
+        trained = [n for n, p in model.params.items() if not np.array_equal(p.data, before[n])]
+        assert trained == list(M.encoder_shapes(TINY))
+
+    def test_no_worker_beside_blas_threads(self, tmp_path, monkeypatch, cpus):
+        forked = cpus(2)
+        monkeypatch.setattr(TR, "ONE_BLAS_THREAD", False)
+        self.run_pretrain(tmp_path)
+        assert forked == []
+
+    @pytest.mark.parametrize("first, pin, want", [("msmae", None, True), ("numpy", None, False),
+                                                  ("numpy", "1", True), ("numpy", "2", False)])
+    def test_one_blas_thread_read_where_numpy_loads(self, first, pin, want):
+        # OpenBLAS reads its thread count when numpy loads; msmae sets it to 1 on import
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        if pin is not None:
+            env["OPENBLAS_NUM_THREADS"] = pin
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); "
+                               f"import {first}, msmae; print(msmae.ONE_BLAS_THREAD)"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.stdout.strip() == str(want), proc.stderr
+
+    def failing_pretrain(self, tmp_path, monkeypatch, fail):
+        """Pretraining whose forward_pretrain_batch calls fail(in_worker, call)
+        first, then returns the pids of the workers forked."""
+        parent, calls, forward = os.getpid(), [], TR.forward_pretrain_batch
+
+        def forward_or_fail(*args):
+            calls.append(1)
+            fail(os.getpid() != parent, len(calls))
+            return forward(*args)
+
+        monkeypatch.setattr(TR, "forward_pretrain_batch", forward_or_fail)
+        tc = TR.TrainConfig(epochs=2, batch_size=4, warmup_epochs=0, test_mode=True,
+                            out_dir=str(tmp_path))
+        TR.train(M.Model.init(TINY, seed=0), tiny_records(8), tc)
+
+    def test_worker_exception_raised_as_its_class(self, tmp_path, monkeypatch, cpus):
+        forked = cpus(2)
+
+        def fail(in_worker, call):
+            if in_worker:
+                raise ContractError("worker group refused")
+
+        with pytest.raises(ContractError, match="worker group refused"):
+            self.failing_pretrain(tmp_path, monkeypatch, fail)
+        assert len(forked) == 1
+        assert_no_child()
+
+    def test_killed_worker_named_within_bounded_time(self, tmp_path, monkeypatch, cpus):
+        import signal
+        forked = cpus(2)
+
+        def fail(in_worker, call):
+            if in_worker and call == 2:  # mid-run: the worker's second group
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        def hung(signum, frame):
+            raise AssertionError("the parent still waits for a killed worker")
+
+        old = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(WorkerError, match="killed by signal 9"):
+                self.failing_pretrain(tmp_path, monkeypatch, fail)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert len(forked) == 1
+        assert_no_child()
+
+    def test_interrupt_reaps_the_worker(self, tmp_path, monkeypatch, cpus):
+        forked = cpus(2)
+
+        def fail(in_worker, call):
+            if not in_worker and call == 2:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            self.failing_pretrain(tmp_path, monkeypatch, fail)
+        assert len(forked) == 1
+        assert_no_child()
